@@ -6,6 +6,21 @@
 
 namespace fgp::core {
 
+bool ranked_before(const RankedCandidate& a, const RankedCandidate& b) {
+  const double ta = a.predicted.total();
+  const double tb = b.predicted.total();
+  if (ta != tb) return ta < tb;
+  const auto& ca = a.candidate;
+  const auto& cb = b.candidate;
+  if (ca.replica.repository != cb.replica.repository)
+    return ca.replica.repository < cb.replica.repository;
+  if (ca.compute_site != cb.compute_site)
+    return ca.compute_site < cb.compute_site;
+  if (ca.replica.storage_nodes != cb.replica.storage_nodes)
+    return ca.replica.storage_nodes < cb.replica.storage_nodes;
+  return ca.compute_nodes < cb.compute_nodes;
+}
+
 ResourceSelector::ResourceSelector(const grid::GridCatalog* catalog,
                                    Profile profile, PredictorOptions options,
                                    std::map<std::string, ScalingFactors> scalers)
@@ -47,10 +62,7 @@ std::vector<RankedCandidate> ResourceSelector::rank(
     }
     out.push_back(std::move(rc));
   }
-  std::sort(out.begin(), out.end(),
-            [](const RankedCandidate& a, const RankedCandidate& b) {
-              return a.predicted.total() < b.predicted.total();
-            });
+  std::sort(out.begin(), out.end(), ranked_before);
   return out;
 }
 

@@ -25,6 +25,12 @@ struct RankedCandidate {
   bool used_hetero_scaling = false;
 };
 
+/// The ranking's total order: predicted total time, then the candidate's
+/// identity (repository, compute site, storage nodes, compute nodes).
+/// std::sort is not stable, so without the identity tie-break two
+/// equal-cost candidates could legally come back in either order.
+bool ranked_before(const RankedCandidate& a, const RankedCandidate& b);
+
 class ResourceSelector {
  public:
   /// `scalers` maps a compute-cluster name to the A->that-cluster scaling
@@ -34,7 +40,7 @@ class ResourceSelector {
                    PredictorOptions options,
                    std::map<std::string, ScalingFactors> scalers = {});
 
-  /// All predictable candidates for the dataset, cheapest first.
+  /// All predictable candidates for the dataset in ranked_before order.
   std::vector<RankedCandidate> rank(const std::string& dataset,
                                     double dataset_bytes) const;
 

@@ -66,6 +66,11 @@ std::shared_ptr<const CompiledApp> ProfileCache::resolve(
       compiled->site_predictors.emplace_back();  // unpredictable
     }
   }
+  compiled->links.reserve(topo->repository_sites.size() *
+                          topo->compute_sites.size());
+  for (const auto& repo : topo->repository_sites)
+    for (const auto& site : topo->compute_sites)
+      compiled->links.push_back(topo->find_link(repo.id, site.id));
   entry.compiled = std::move(compiled);
   return entry.compiled;
 }

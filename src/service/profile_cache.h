@@ -60,6 +60,10 @@ struct CompiledApp {
   std::shared_ptr<const Topology> topology;
   core::Profile profile;
   std::vector<SitePredictor> site_predictors;
+  /// The WAN link of every (repository site, compute site) pair of
+  /// `topology`, at [repository index * compute_sites.size() + site
+  /// index]; null where the pair is unreachable.
+  std::vector<const sim::WanSpec*> links;
 };
 
 class ProfileCache {

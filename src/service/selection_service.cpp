@@ -1,6 +1,7 @@
 #include "service/selection_service.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <map>
 #include <utility>
@@ -16,25 +17,17 @@ namespace fgp::service {
 
 namespace {
 
-/// Deterministic total order on ranked candidates: predicted total time,
-/// then the candidate's identity. std::sort is not stable, so without the
-/// identity tie-break two equal-cost candidates could legally come back
-/// in either order — the bit-identity contract needs exactly one.
-bool ranked_less(const core::RankedCandidate& a,
-                 const core::RankedCandidate& b) {
-  const double ta = a.predicted.total();
-  const double tb = b.predicted.total();
-  if (ta != tb) return ta < tb;
-  const auto& ca = a.candidate;
-  const auto& cb = b.candidate;
-  if (ca.replica.repository != cb.replica.repository)
-    return ca.replica.repository < cb.replica.repository;
-  if (ca.compute_site != cb.compute_site)
-    return ca.compute_site < cb.compute_site;
-  if (ca.replica.storage_nodes != cb.replica.storage_nodes)
-    return ca.replica.storage_nodes < cb.replica.storage_nodes;
-  return ca.compute_nodes < cb.compute_nodes;
-}
+/// One scored candidate: the prediction plus the candidate's identity
+/// held as pointers into the batch's snapshots, so scoring copies no
+/// string. Only the top-k survivors become core::RankedCandidates.
+struct ScoredCandidate {
+  core::PredictedTime predicted;
+  double total = 0.0;  ///< predicted.total(), computed once
+  const grid::Replica* replica = nullptr;
+  std::size_t site = 0;  ///< index into Topology::compute_sites
+  int nodes = 0;
+  const sim::WanSpec* wan = nullptr;
+};
 
 /// Everything one query needs for its (pure) evaluate phase.
 struct PreparedQuery {
@@ -63,7 +56,23 @@ SelectionResult evaluate(const PreparedQuery& p) {
     return out;
   }
 
-  std::vector<core::RankedCandidate> ranked;
+  const auto& sites = topo.compute_sites;
+  const auto& predictors = p.compiled->site_predictors;
+  // Reserve one replica's worth: every predictable site's power-of-two
+  // node sweep. Scaling that by the replica count would overshoot by
+  // orders of magnitude on a sparse link mesh; growth covers the rest.
+  std::size_t per_replica = 0;
+  for (std::size_t s = 0; s < sites.size(); ++s)
+    if (predictors[s].predictable())
+      per_replica += static_cast<std::size_t>(
+          std::bit_width(static_cast<unsigned>(sites[s].available_nodes)));
+  std::vector<ScoredCandidate> scored;
+  scored.reserve(per_replica);
+
+  // One target per query; the loop rewrites only what changes with the
+  // replica, the site and the node count.
+  core::ProfileConfig target;
+  target.dataset_bytes = q.dataset_bytes;
   for (const auto& replica : replicas) {
     const auto* repo = topo.find_repository(replica.repository);
     // Snapshot skew: the batch captures the topology before its shards, so
@@ -72,45 +81,68 @@ SelectionResult evaluate(const PreparedQuery& p) {
     // batch's (older) topology. That replica is unreachable for this
     // batch — the next batch's fresher topology will rank it.
     if (repo == nullptr) continue;
-    for (std::size_t s = 0; s < topo.compute_sites.size(); ++s) {
-      const auto& site = topo.compute_sites[s];
-      const SitePredictor& predictor = p.compiled->site_predictors[s];
+    // This repository's row of the compiled link table.
+    const sim::WanSpec* const* links =
+        p.compiled->links.data() +
+        static_cast<std::size_t>(repo - topo.repository_sites.data()) *
+            sites.size();
+    target.data_nodes = replica.storage_nodes;
+    target.data_cluster = repo->cluster.name;
+    for (std::size_t s = 0; s < sites.size(); ++s) {
+      const auto& site = sites[s];
+      const SitePredictor& predictor = predictors[s];
       if (!predictor.predictable()) continue;
-      const auto* wan = topo.find_link(replica.repository, site.id);
+      const sim::WanSpec* wan = links[s];
       if (wan == nullptr) continue;  // unreachable pair
 
-      core::ProfileConfig target;
-      target.data_nodes = replica.storage_nodes;
-      target.dataset_bytes = q.dataset_bytes;
       target.bandwidth_Bps = wan->per_link_Bps;
-      target.data_cluster = repo->cluster.name;
       target.compute_cluster = site.cluster.name;
       // 64-bit sweep counter: `c *= 2` on an int is UB once
       // available_nodes exceeds INT_MAX/2.
       for (long long c = 1; c <= site.available_nodes; c *= 2) {
         if (c < replica.storage_nodes) continue;  // FREERIDE-G: M >= N
         ++out.candidates_considered;
-        const int nodes = static_cast<int>(c);
-        target.compute_nodes = nodes;
-        core::RankedCandidate rc;
-        rc.candidate = {replica, site.id, nodes, *wan};
-        rc.predicted = predictor.predict(target);
-        rc.used_hetero_scaling = predictor.uses_hetero_scaling();
-        ranked.push_back(std::move(rc));
+        ScoredCandidate sc;
+        sc.nodes = static_cast<int>(c);
+        target.compute_nodes = sc.nodes;
+        sc.predicted = predictor.predict(target);
+        sc.total = sc.predicted.total();
+        sc.replica = &replica;
+        sc.site = s;
+        sc.wan = wan;
+        scored.push_back(sc);
       }
     }
   }
-  if (ranked.empty()) {
+  if (scored.empty()) {
     out.error = "no predictable candidate for dataset '" + q.dataset + "'";
     return out;
   }
 
+  // core::ranked_before's total order, read through the pointers. Site
+  // ids are unique within a topology, so equal indices mean equal ids.
+  const auto scored_before = [&sites](const ScoredCandidate& a,
+                                      const ScoredCandidate& b) {
+    if (a.total != b.total) return a.total < b.total;
+    const auto& ra = a.replica->repository;
+    const auto& rb = b.replica->repository;
+    if (ra != rb) return ra < rb;
+    if (a.site != b.site) return sites[a.site].id < sites[b.site].id;
+    if (a.replica->storage_nodes != b.replica->storage_nodes)
+      return a.replica->storage_nodes < b.replica->storage_nodes;
+    return a.nodes < b.nodes;
+  };
   const std::size_t k =
-      std::min<std::size_t>(static_cast<std::size_t>(q.top_k), ranked.size());
-  std::partial_sort(ranked.begin(), ranked.begin() + k, ranked.end(),
-                    ranked_less);
-  ranked.resize(k);
-  out.ranked = std::move(ranked);
+      std::min<std::size_t>(static_cast<std::size_t>(q.top_k), scored.size());
+  std::partial_sort(scored.begin(), scored.begin() + k, scored.end(),
+                    scored_before);
+  out.ranked.reserve(k);
+  for (std::size_t i = 0; i < k; ++i) {
+    const ScoredCandidate& sc = scored[i];
+    out.ranked.push_back({{*sc.replica, sites[sc.site].id, sc.nodes, *sc.wan},
+                          sc.predicted,
+                          predictors[sc.site].uses_hetero_scaling()});
+  }
   return out;
 }
 

@@ -1,6 +1,7 @@
 #include "service/sharded_catalog.h"
 
 #include <algorithm>
+#include <iterator>
 #include <utility>
 
 #include "util/check.h"
@@ -162,17 +163,28 @@ void ShardedCatalog::register_replicas(std::vector<grid::Replica> replicas) {
   std::vector<std::vector<grid::Replica>> per_shard(shards_.size());
   for (auto& r : replicas)
     per_shard[shard_of(r.dataset, shards_.size())].push_back(std::move(r));
+  const auto by_dataset = [](const grid::Replica& a, const grid::Replica& b) {
+    return a.dataset < b.dataset;
+  };
   for (std::size_t s = 0; s < shards_.size(); ++s) {
-    if (per_shard[s].empty()) continue;
-    auto next = std::make_shared<ReplicaShard>(*shards_[s].load());
-    next->replicas.reserve(next->replicas.size() + per_shard[s].size());
-    for (auto& r : per_shard[s]) next->replicas.push_back(std::move(r));
-    // Registration order within a dataset must survive the re-sort
-    // (GridCatalog enumeration parity), hence stable_sort.
-    std::stable_sort(next->replicas.begin(), next->replicas.end(),
-                     [](const grid::Replica& a, const grid::Replica& b) {
-                       return a.dataset < b.dataset;
-                     });
+    auto& batch = per_shard[s];
+    if (batch.empty()) continue;
+    // Registration order within a dataset must survive (GridCatalog
+    // enumeration parity): stable_sort keeps it inside the batch, and
+    // std::merge takes equal keys from its first range — the published
+    // entries — first.
+    std::stable_sort(batch.begin(), batch.end(), by_dataset);
+    const auto current = shards_[s].load();
+    const auto& old = current->replicas;
+    auto next = std::make_shared<ReplicaShard>();
+    if (old.empty()) {
+      next->replicas = std::move(batch);
+    } else {
+      next->replicas.reserve(old.size() + batch.size());
+      std::merge(old.begin(), old.end(), std::make_move_iterator(batch.begin()),
+                 std::make_move_iterator(batch.end()),
+                 std::back_inserter(next->replicas), by_dataset);
+    }
     shards_[s].store(std::shared_ptr<const ReplicaShard>(std::move(next)));
   }
 }

@@ -68,8 +68,8 @@ struct Topology {
 };
 
 /// One shard's replica entries, sorted by dataset name; entries of the
-/// same dataset keep their registration order (std::stable_sort on
-/// publish).
+/// same dataset keep their registration order (stable sort of each new
+/// batch, then std::merge after the published entries).
 struct ReplicaShard {
   std::vector<grid::Replica> replicas;
   /// The contiguous run of replicas for `dataset` (empty span when none).
@@ -97,8 +97,9 @@ class ShardedCatalog {
   void register_link(const grid::SiteId& repository,
                      const grid::SiteId& compute, sim::WanSpec wan);
   void register_replica(grid::Replica replica);
-  /// Bulk load: one sort + one publish per shard instead of a
-  /// copy-on-publish per entry — the path a million-entry catalog takes.
+  /// Bulk load: per touched shard, one stable sort of the new entries,
+  /// one merge into a copy of the shard and one publish — instead of a
+  /// copy-on-publish per entry or a re-sort of the whole shard.
   void register_replicas(std::vector<grid::Replica> replicas);
 
   // --- readers (lock-free snapshot loads) ---------------------------------

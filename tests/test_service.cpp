@@ -4,12 +4,15 @@
 // concurrent readers racing snapshot swaps (run under TSan in CI).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/ipc_probe.h"
@@ -168,6 +171,80 @@ TEST(ShardedCatalog, SnapshotSurvivesLaterPublishes) {
             replicas_before + 1);
 }
 
+TEST(ShardedCatalog, PublishesKeepRegistrationOrderWithinADataset) {
+  constexpr std::size_t kShards = 4;
+  const std::size_t home = shard_of("target", kShards);
+  // Neighbours hashed into target's shard, named to sort both before and
+  // after it, so every publish merges into the middle of the shard.
+  std::vector<std::string> datasets = {"target"};
+  for (const char* prefix : {"a-", "z-"})
+    for (int i = 0, found = 0; found < 3; ++i)
+      if (const std::string name = prefix + std::to_string(i);
+          shard_of(name, kShards) == home) {
+        datasets.push_back(name);
+        ++found;
+      }
+
+  grid::GridCatalog flat;
+  populate(flat);
+  ShardedCatalog sharded(kShards);
+  populate(sharded);
+  util::Rng rng(77);
+  for (int publish = 0; publish < 8; ++publish) {
+    std::vector<grid::Replica> batch;
+    const auto entries = 1 + rng.next_below(5);
+    for (std::uint64_t e = 0; e < entries; ++e) {
+      const auto& dataset =
+          rng.next_below(2) == 0
+              ? datasets.front()
+              : datasets[1 + rng.next_below(datasets.size() - 1)];
+      grid::Replica r{dataset, rng.next_below(2) == 0 ? "repo-east"
+                                                      : "repo-west",
+                      1 << rng.next_below(3)};
+      flat.register_replica(r);
+      batch.push_back(std::move(r));
+    }
+    if (batch.size() == 1) {
+      sharded.register_replica(std::move(batch.front()));
+    } else {
+      sharded.register_replicas(std::move(batch));
+    }
+
+    const auto shard = sharded.shard(home);
+    EXPECT_TRUE(std::is_sorted(shard->replicas.begin(),
+                               shard->replicas.end(),
+                               [](const grid::Replica& a,
+                                  const grid::Replica& b) {
+                                 return a.dataset < b.dataset;
+                               }))
+        << "publish " << publish;
+    for (const auto& dataset : datasets) {
+      // GridCatalog keeps one flat vector in registration order.
+      const auto expect = flat.replicas_of(dataset);
+      const auto replicas = shard->replicas_of(dataset);
+      ASSERT_EQ(replicas.size(), expect.size()) << dataset << " @" << publish;
+      for (std::size_t i = 0; i < replicas.size(); ++i) {
+        EXPECT_EQ(replicas[i].repository, expect[i].repository)
+            << dataset << " replica " << i << " @" << publish;
+        EXPECT_EQ(replicas[i].storage_nodes, expect[i].storage_nodes)
+            << dataset << " replica " << i << " @" << publish;
+      }
+      const auto got = ShardedCatalog::enumerate_candidates(
+          *sharded.topology(), *shard, dataset);
+      const auto want = flat.enumerate_candidates(dataset);
+      ASSERT_EQ(got.size(), want.size()) << dataset << " @" << publish;
+      for (std::size_t i = 0; i < got.size(); ++i)
+        EXPECT_TRUE(same_candidate(got[i], want[i]))
+            << dataset << " candidate " << i << " @" << publish;
+    }
+  }
+  // Not vacuous: target gathered replicas over several publishes and
+  // shares its shard with the neighbours.
+  EXPECT_GE(flat.replicas_of("target").size(), 3u);
+  EXPECT_GT(sharded.shard(home)->replicas.size(),
+            flat.replicas_of("target").size());
+}
+
 // ---------------------------------------------------------------------------
 // ProfileCache
 
@@ -194,6 +271,16 @@ TEST(ProfileCache, ResolveCompilesOncePerTopologyVersion) {
   EXPECT_NE(first.get(), third.get());
   EXPECT_EQ(misses, 2u);
   EXPECT_EQ(third->site_predictors.size(), 3u);
+  // The link table covers every (repository, site) pair of its topology.
+  const Topology& t = *third->topology;
+  ASSERT_EQ(third->links.size(), 2u * 3u);
+  for (std::size_t r = 0; r < 2; ++r)
+    for (std::size_t s = 0; s < 3; ++s)
+      EXPECT_EQ(third->links[r * 3 + s],
+                t.find_link(t.repository_sites[r].id, t.compute_sites[s].id))
+          << r << "," << s;
+  EXPECT_NE(third->links[0], nullptr);  // repo-east -> hpc-pentium
+  EXPECT_EQ(third->links[5], nullptr);  // repo-west -> late
 }
 
 TEST(ProfileCache, UnknownAppResolvesNull) {
@@ -422,6 +509,257 @@ TEST(SelectionService, BatchLatencyHistogramLandsInHostDomain) {
   const std::string without = metrics.to_json(false);
   EXPECT_NE(with_host.find("service.batch_seconds"), std::string::npos);
   EXPECT_EQ(without.find("service.batch_seconds"), std::string::npos);
+}
+
+// ---------------------------------------------------------------------------
+// Ranking oracle: the service's POD-scored top-k against a brute-force
+// ranking of every enumerated candidate.
+
+/// A seeded catalog with planted exact ties. Twin repositories (same
+/// cluster, nodes and link bandwidths) hold replicas of "tied" with equal
+/// storage nodes, and twin compute sites (same cluster, nodes and link
+/// bandwidths) double every candidate on them. Each twin pair registers
+/// in reverse name order, so registration order and the tie-break
+/// disagree. An ideal-cluster site is unpredictable for every app, an
+/// opteron site only for apps without scalers, and some pairs have no
+/// link.
+struct TieFixture {
+  ShardedCatalog catalog;
+  std::vector<std::string> datasets;
+
+  TieFixture(std::uint64_t seed, std::size_t shards) : catalog(shards) {
+    util::Rng rng(seed);
+    const auto pentium = sim::cluster_pentium_myrinet();
+    const auto opteron = sim::cluster_opteron_infiniband();
+    const std::vector<std::string> repos = {"twin-b", "twin-a", "repo-0",
+                                            "repo-1", "repo-2"};
+    for (const auto& r : repos)
+      catalog.register_repository_site({r, pentium, 8});
+    const std::vector<std::string> sites = {"site-z", "site-y", "hpc-opteron",
+                                            "hpc-ideal", "hpc-small"};
+    catalog.register_compute_site({"site-z", pentium, 16});
+    catalog.register_compute_site({"site-y", pentium, 16});
+    catalog.register_compute_site({"hpc-opteron", opteron, 8});
+    catalog.register_compute_site({"hpc-ideal", sim::cluster_ideal(), 8});
+    catalog.register_compute_site(
+        {"hpc-small", pentium, 1 + static_cast<int>(rng.next_below(12))});
+    // Links are drawn per (repository group, site group), so twins get
+    // identical bandwidths; one pair in five stays unreachable.
+    const auto group = [](const std::string& id) {
+      return id.rfind("twin-", 0) == 0 ? std::string("twin")
+             : id == "site-y" || id == "site-z" ? std::string("site-twin")
+                                                : id;
+    };
+    std::map<std::pair<std::string, std::string>, double> mbps;
+    for (const auto& r : repos)
+      for (const auto& c : sites) {
+        const auto key = std::make_pair(group(r), group(c));
+        if (!mbps.contains(key))
+          mbps[key] = rng.next_below(5) == 0
+                          ? 0.0
+                          : 10.0 * static_cast<double>(1 + rng.next_below(8));
+        if (mbps[key] > 0.0)
+          catalog.register_link(r, c, sim::wan_mbps(mbps[key]));
+      }
+
+    // The planted tie, then random datasets over several publishes.
+    catalog.register_replica({"tied", "twin-b", 2});
+    catalog.register_replica({"tied", "twin-a", 2});
+    datasets.push_back("tied");
+    for (int publish = 0; publish < 4; ++publish) {
+      std::vector<grid::Replica> batch;
+      for (int d = 0; d < 3; ++d) {
+        const std::string name = "ds-" + std::to_string(publish * 3 + d);
+        datasets.push_back(name);
+        for (std::uint64_t r = 0, n = 1 + rng.next_below(3); r < n; ++r)
+          batch.push_back({name, repos[rng.next_below(repos.size())],
+                           1 << rng.next_below(3)});
+      }
+      catalog.register_replicas(std::move(batch));
+    }
+    datasets.push_back("missing");
+  }
+
+  /// Into a SelectionService or the reference's ProfileCache.
+  template <typename Target>
+  void register_apps(Target& target) const {
+    target.register_app(synthetic_profile("em", "pentium-myrinet"),
+                        synthetic_options(), opteron_scalers());
+    target.register_app(synthetic_profile("kmeans", "pentium-myrinet"),
+                        synthetic_options());
+  }
+};
+
+struct ReferenceRanking {
+  std::vector<core::RankedCandidate> ranked;
+  std::size_t considered = 0;
+};
+
+/// Every enumerated candidate on a predictable site, predicted by that
+/// site's compiled predictor, then one full sort under ranked_before.
+ReferenceRanking brute_force_rank(const ShardedCatalog& catalog,
+                                  const CompiledApp& app,
+                                  const SelectionQuery& q) {
+  const Topology& topo = *app.topology;
+  ReferenceRanking ref;
+  for (const auto& c : ShardedCatalog::enumerate_candidates(
+           topo, *catalog.shard_for(q.dataset), q.dataset)) {
+    std::size_t s = 0;
+    while (topo.compute_sites[s].id != c.compute_site) ++s;
+    const SitePredictor& predictor = app.site_predictors[s];
+    if (!predictor.predictable()) continue;
+    ++ref.considered;
+    core::ProfileConfig target;
+    target.data_nodes = c.replica.storage_nodes;
+    target.compute_nodes = c.compute_nodes;
+    target.dataset_bytes = q.dataset_bytes;
+    target.bandwidth_Bps = c.wan.per_link_Bps;
+    target.data_cluster =
+        topo.find_repository(c.replica.repository)->cluster.name;
+    target.compute_cluster = topo.compute_sites[s].cluster.name;
+    ref.ranked.push_back(
+        {c, predictor.predict(target), predictor.uses_hetero_scaling()});
+  }
+  std::sort(ref.ranked.begin(), ref.ranked.end(), core::ranked_before);
+  return ref;
+}
+
+void expect_same_ranked(const core::RankedCandidate& got,
+                        const core::RankedCandidate& want,
+                        const std::string& where) {
+  const auto& g = got.candidate;
+  const auto& w = want.candidate;
+  EXPECT_EQ(g.replica.dataset, w.replica.dataset) << where;
+  EXPECT_EQ(g.replica.repository, w.replica.repository) << where;
+  EXPECT_EQ(g.replica.storage_nodes, w.replica.storage_nodes) << where;
+  EXPECT_EQ(g.compute_site, w.compute_site) << where;
+  EXPECT_EQ(g.compute_nodes, w.compute_nodes) << where;
+  EXPECT_EQ(g.wan.per_link_Bps, w.wan.per_link_Bps) << where;
+  EXPECT_EQ(g.wan.aggregate_cap_Bps, w.wan.aggregate_cap_Bps) << where;
+  EXPECT_EQ(g.wan.latency_s, w.wan.latency_s) << where;
+  EXPECT_EQ(g.wan.protocol_overhead, w.wan.protocol_overhead) << where;
+  EXPECT_EQ(got.predicted.disk, want.predicted.disk) << where;
+  EXPECT_EQ(got.predicted.network, want.predicted.network) << where;
+  EXPECT_EQ(got.predicted.compute, want.predicted.compute) << where;
+  EXPECT_EQ(got.predicted.compute_local, want.predicted.compute_local)
+      << where;
+  EXPECT_EQ(got.predicted.ro_comm, want.predicted.ro_comm) << where;
+  EXPECT_EQ(got.predicted.global_red, want.predicted.global_red) << where;
+  EXPECT_EQ(got.used_hetero_scaling, want.used_hetero_scaling) << where;
+}
+
+TEST(SelectionService, TopKMatchesBruteForceRankingWithPlantedTies) {
+  std::size_t tied_pairs = 0;
+  for (const std::uint64_t seed : {11u, 12u, 13u}) {
+    const TieFixture fx(seed, 1 + seed % 5);
+    ProfileCache cache;
+    fx.register_apps(cache);
+    const auto topo = fx.catalog.topology();
+
+    // Every dataset under both apps, top_k from 1 to two past the
+    // candidate count.
+    util::Rng rng(seed * 7);
+    std::vector<SelectionQuery> queries;
+    std::vector<ReferenceRanking> refs;
+    for (const char* app : {"em", "kmeans"}) {
+      const auto compiled = cache.resolve(app, topo);
+      ASSERT_NE(compiled, nullptr);
+      for (const auto& dataset : fx.datasets) {
+        SelectionQuery q{app, dataset, rng.uniform(100e6, 4e9), 1};
+        const auto ref = brute_force_rank(fx.catalog, *compiled, q);
+        for (std::size_t i = 1; i < ref.ranked.size(); ++i)
+          if (ref.ranked[i].predicted.total() ==
+              ref.ranked[i - 1].predicted.total())
+            ++tied_pairs;
+        for (std::size_t k = 1; k <= ref.ranked.size() + 2; ++k) {
+          q.top_k = static_cast<int>(k);
+          queries.push_back(q);
+          refs.push_back(ref);
+        }
+      }
+    }
+
+    for (const std::size_t threads : {0u, 2u, 8u}) {
+      std::unique_ptr<util::ThreadPool> pool;
+      if (threads > 0) pool = std::make_unique<util::ThreadPool>(threads);
+      SelectionService svc(&fx.catalog, pool.get());
+      fx.register_apps(svc);
+      const auto results = svc.query_batch(queries);
+      ASSERT_EQ(results.size(), queries.size());
+      for (std::size_t i = 0; i < queries.size(); ++i) {
+        const std::string where =
+            "seed " + std::to_string(seed) + " pool " +
+            std::to_string(threads) + " " + queries[i].app + ":" +
+            queries[i].dataset + " top_k " + std::to_string(queries[i].top_k);
+        const auto& got = results[i];
+        const auto& ref = refs[i];
+        EXPECT_EQ(got.candidates_considered, ref.considered) << where;
+        if (ref.ranked.empty()) {
+          EXPECT_FALSE(got.ok()) << where;
+          continue;
+        }
+        ASSERT_TRUE(got.ok()) << where << ": " << got.error;
+        const std::size_t k = std::min<std::size_t>(
+            static_cast<std::size_t>(queries[i].top_k), ref.ranked.size());
+        ASSERT_EQ(got.ranked.size(), k) << where;
+        for (std::size_t j = 0; j < k; ++j)
+          expect_same_ranked(got.ranked[j], ref.ranked[j],
+                             where + " rank " + std::to_string(j));
+      }
+    }
+  }
+  // The planted twins must actually produce exact ties.
+  EXPECT_GT(tied_pairs, 0u);
+}
+
+TEST(ResourceSelector, EqualTotalsBreakTiesOnCandidateIdentity) {
+  // Twin repositories and twin sites, each registered in reverse name
+  // order: the four cheapest candidates tie exactly and must come back in
+  // identity order, not registration order.
+  const auto fill = [](auto& cat) {
+    const auto pentium = sim::cluster_pentium_myrinet();
+    cat.register_repository_site({"twin-b", pentium, 8});
+    cat.register_repository_site({"twin-a", pentium, 8});
+    cat.register_compute_site({"site-z", pentium, 16});
+    cat.register_compute_site({"site-y", pentium, 16});
+    for (const char* r : {"twin-b", "twin-a"})
+      for (const char* c : {"site-z", "site-y"})
+        cat.register_link(r, c, sim::wan_mbps(40));
+    cat.register_replica({"tied", "twin-b", 2});
+    cat.register_replica({"tied", "twin-a", 2});
+  };
+  grid::GridCatalog flat;
+  fill(flat);
+  ShardedCatalog sharded(2);
+  fill(sharded);
+
+  const auto profile = synthetic_profile("em", "pentium-myrinet");
+  auto opts = synthetic_options();
+  opts.ipc = core::measure_ipc(sim::cluster_pentium_myrinet());
+  const core::ResourceSelector selector(&flat, profile, opts);
+  const auto ranked = selector.rank("tied", 700e6);
+  ASSERT_GE(ranked.size(), 4u);
+  EXPECT_TRUE(
+      std::is_sorted(ranked.begin(), ranked.end(), core::ranked_before));
+  const std::pair<const char*, const char*> expect[] = {
+      {"twin-a", "site-y"},
+      {"twin-a", "site-z"},
+      {"twin-b", "site-y"},
+      {"twin-b", "site-z"}};
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(ranked[i].predicted.total(), ranked[0].predicted.total()) << i;
+    EXPECT_EQ(ranked[i].candidate.replica.repository, expect[i].first) << i;
+    EXPECT_EQ(ranked[i].candidate.compute_site, expect[i].second) << i;
+  }
+
+  // The service ranks the same ties the same way.
+  SelectionService svc(&sharded);
+  svc.register_app(profile, opts);
+  const auto got = svc.query({"em", "tied", 700e6, 1 << 20});
+  ASSERT_TRUE(got.ok()) << got.error;
+  ASSERT_EQ(got.ranked.size(), ranked.size());
+  for (std::size_t i = 0; i < ranked.size(); ++i)
+    expect_same_ranked(got.ranked[i], ranked[i], "rank " + std::to_string(i));
 }
 
 // ---------------------------------------------------------------------------
