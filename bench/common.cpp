@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <iostream>
+#include <span>
 #include <utility>
 
 #include "apps/ann.h"
@@ -192,8 +193,9 @@ class ScopedStoreSource final : public repository::ChunkSource {
     std::error_code ec;
     std::filesystem::remove_all(dir_, ec);  // best effort
   }
-  repository::Chunk fetch(std::size_t index) const override {
-    return inner_->fetch(index);
+  void fetch_block(std::span<const std::size_t> indices,
+                   std::span<repository::Chunk> out) const override {
+    inner_->fetch_block(indices, out);
   }
   void prefetch(std::size_t index) const override {
     inner_->prefetch(index);

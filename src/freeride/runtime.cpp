@@ -1,10 +1,12 @@
 #include "freeride/runtime.h"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <future>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -32,6 +34,10 @@ struct NodeVolume {
 /// the serial runtime) reduces and merges in exactly the same order
 /// (DESIGN.md §11).
 constexpr std::size_t kChunksPerBlock = 4;
+// A reduction block is also one fetch/verify block: each block
+// materializes its chunks in one call (one verifying hash per chunk).
+static_assert(kChunksPerBlock == repository::kChunkBlock,
+              "a reduction block must be one materialize_block call");
 
 /// Tracks the prefetch tasks a run has handed to the host pool so the pass
 /// that submitted them can wait them out. A prefetch task keeps the
@@ -322,22 +328,29 @@ RunResult Runtime::run(const JobSetup& setup, ReductionKernel& kernel) const {
                         &rec.timing.disk);
       }
 
-      if (cfg.verify_chunks && result.passes == 0) {
-        // Checksums are independent per chunk, so the sweep fans out over
-        // the host pool; parallel_for rethrows the lowest-index failure,
-        // keeping the reported chunk deterministic. Streamed chunks are
-        // materialized for the check (the fetch itself already throws on
-        // corruption) and dropped immediately after.
-        const auto verify_chunk = [&ds](std::size_t ci) {
-          const repository::Chunk chunk = ds.materialize(ci);
-          FGP_CHECK_MSG(chunk.verify(),
-                        "chunk " << chunk.id() << " failed checksum");
+      if (cfg.verify_chunks && result.passes == 0 && !ds.streamed()) {
+        // Receipt check of an in-memory dataset: kChunksPerBlock chunks
+        // per task, hashed in one interleaved util::fnv1a_x4 pass and
+        // checked in order. parallel_for rethrows the lowest-index
+        // failure, so the reported chunk is the lowest failing one at
+        // any pool size. A streamed dataset needs no sweep: every fetch
+        // verifies the chunk it returns, on every pass, before the kernel
+        // reads it.
+        const std::span<const repository::Chunk> all(ds.chunks());
+        const std::size_t groups =
+            (all.size() + kChunksPerBlock - 1) / kChunksPerBlock;
+        const auto verify_group = [&all](std::size_t g) {
+          const auto group = all.subspan(
+              g * kChunksPerBlock,
+              std::min(kChunksPerBlock, all.size() - g * kChunksPerBlock));
+          const std::size_t bad = repository::first_unverified(group);
+          FGP_CHECK_MSG(bad == group.size(),
+                        "chunk " << group[bad].id() << " failed checksum");
         };
         if (pool) {
-          pool->parallel_for(ds.chunk_count(), verify_chunk);
+          pool->parallel_for(groups, verify_group);
         } else {
-          for (std::size_t ci = 0; ci < ds.chunk_count(); ++ci)
-            verify_chunk(ci);
+          for (std::size_t g = 0; g < groups; ++g) verify_group(g);
         }
       }
     }
@@ -490,16 +503,21 @@ RunResult Runtime::run(const JobSetup& setup, ReductionKernel& kernel) const {
           double tb = 0.0;
           sim::Work wb;
           const std::size_t begin = b * kChunksPerBlock;
-          const std::size_t end = std::min(m, begin + kChunksPerBlock);
-          for (std::size_t k = begin; k < end; ++k) {
-            // By value: a streamed chunk owns its bytes only while this
-            // handle lives, so the payload is released as soon as the
-            // kernel is done with it (flat resident set).
-            const repository::Chunk chunk = ds.materialize(node_chunks[k]);
-            const sim::Work w = kernel.process_chunk(chunk, obj);
-            const sim::Work scaled = chunk.virtual_scale() * w;
+          const std::size_t count = std::min(m, begin + kChunksPerBlock) - begin;
+          // One call materializes the block (a streamed dataset fetches
+          // and verifies it in one pass). By value: a streamed chunk owns
+          // its bytes only while its handle lives, so each payload is
+          // released as soon as the kernel is done with it (flat
+          // resident set).
+          std::array<repository::Chunk, kChunksPerBlock> block;
+          ds.materialize_block({node_chunks.data() + begin, count},
+                               {block.data(), count});
+          for (std::size_t k = 0; k < count; ++k) {
+            const sim::Work w = kernel.process_chunk(block[k], obj);
+            const sim::Work scaled = block[k].virtual_scale() * w;
             tb += compute_machine.compute_time(scaled);
             wb += scaled;
+            block[k] = repository::Chunk();
           }
           bs.block_time[b] = tb;
           bs.block_work[b] = wb;

@@ -120,8 +120,10 @@ class Runtime {
   explicit Runtime(util::ThreadPool* pool) : shared_pool_(pool) {}
 
   /// Runs `kernel` over `setup`. Throws util::ConfigError for invalid
-  /// configurations and util::Error for corrupted chunks (when
-  /// config.verify_chunks is set).
+  /// configurations and util::Error for corrupted chunks: an in-memory
+  /// dataset is checked by the pass-0 sweep (when config.verify_chunks
+  /// is set), a streamed one by every fetch (util::SerializationError,
+  /// whatever config.verify_chunks says).
   RunResult run(const JobSetup& setup, ReductionKernel& kernel) const;
 
  private:

@@ -1,5 +1,6 @@
 #include "repository/chunk.h"
 
+#include <array>
 #include <istream>
 #include <ostream>
 
@@ -32,11 +33,19 @@ Chunk::Chunk(ChunkId id, std::vector<std::uint8_t> payload,
 
 Chunk::Chunk(ChunkId id, std::shared_ptr<const PayloadBuffer> payload,
              double virtual_scale)
-    : id_(id), payload_(std::move(payload)), virtual_scale_(virtual_scale) {
-  FGP_CHECK_MSG(virtual_scale_ > 0.0, "virtual_scale must be positive");
-  virtual_bytes_ = static_cast<double>(real_bytes()) * virtual_scale_;
+    : Chunk(id, std::move(payload), virtual_scale, 0) {
   const auto bytes = this->payload();
   checksum_ = util::fnv1a(bytes.data(), bytes.size());
+}
+
+Chunk::Chunk(ChunkId id, std::shared_ptr<const PayloadBuffer> payload,
+             double virtual_scale, std::uint64_t verified_checksum)
+    : id_(id),
+      payload_(std::move(payload)),
+      virtual_scale_(virtual_scale),
+      checksum_(verified_checksum) {
+  FGP_CHECK_MSG(virtual_scale_ > 0.0, "virtual_scale must be positive");
+  virtual_bytes_ = static_cast<double>(real_bytes()) * virtual_scale_;
 }
 
 Chunk Chunk::metadata_only(ChunkId id, std::uint64_t real_bytes,
@@ -66,6 +75,23 @@ Chunk Chunk::with_virtual_scale(double virtual_scale) const {
 bool Chunk::verify() const {
   const auto bytes = payload();
   return checksum_ == util::fnv1a(bytes.data(), bytes.size());
+}
+
+std::size_t first_unverified(std::span<const Chunk> chunks) {
+  FGP_CHECK_MSG(chunks.size() <= kChunkBlock,
+                "checksum block of " << chunks.size() << " chunks exceeds "
+                                     << kChunkBlock);
+  std::array<const std::uint8_t*, kChunkBlock> data{};
+  std::array<std::size_t, kChunkBlock> n{};
+  for (std::size_t k = 0; k < chunks.size(); ++k) {
+    const auto bytes = chunks[k].payload();
+    data[k] = bytes.data();
+    n[k] = bytes.size();
+  }
+  const auto sums = util::fnv1a_x4(data, n);
+  for (std::size_t k = 0; k < chunks.size(); ++k)
+    if (sums[k] != chunks[k].checksum()) return k;
+  return chunks.size();
 }
 
 void Chunk::serialize(util::ByteWriter& w) const {

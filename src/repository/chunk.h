@@ -27,6 +27,14 @@ namespace fgp::repository {
 
 using ChunkId = std::uint64_t;
 
+/// Chunks per fetch/verify block: the lane count of util::fnv1a_x4. A
+/// streamed fetch (ChunkSource::fetch_block), an in-memory checksum sweep
+/// (first_unverified) and the runtime's reduction block all move at most
+/// this many chunks at once.
+inline constexpr std::size_t kChunkBlock = 4;
+
+class StoreStreamSource;
+
 class Chunk {
  public:
   /// Fixed wire-header size of write_to/read_from: id, virtual_scale,
@@ -120,6 +128,15 @@ class Chunk {
   static Chunk read_from(std::istream& is, std::uint64_t payload_limit);
 
  private:
+  /// Wraps `payload` under a checksum the caller has already verified
+  /// against the bytes. Only the streamed source, which hashes a whole
+  /// fetch block in one pass, may skip the constructor's own hash; no
+  /// caller outside the repository layer can build a chunk whose
+  /// checksum was never checked.
+  Chunk(ChunkId id, std::shared_ptr<const PayloadBuffer> payload,
+        double virtual_scale, std::uint64_t verified_checksum);
+  friend class StoreStreamSource;
+
   ChunkId id_ = 0;
   std::shared_ptr<const PayloadBuffer> payload_;
   std::uint64_t declared_real_bytes_ = 0;  ///< metadata_only payload size
@@ -127,6 +144,12 @@ class Chunk {
   double virtual_bytes_ = 0.0;
   std::uint64_t checksum_ = 0;
 };
+
+/// Re-hashes up to kChunkBlock resident chunks in one interleaved
+/// util::fnv1a_x4 pass and returns the position of the first whose payload
+/// no longer matches its stored checksum, or chunks.size() when all do.
+/// Throws (via payload()) on an unloaded metadata_only handle.
+std::size_t first_unverified(std::span<const Chunk> chunks);
 
 /// Builds a chunk from a typed element array.
 template <typename T>

@@ -2,6 +2,7 @@
 #pragma once
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -23,18 +24,24 @@ struct DatasetMeta {
 
 /// Lazy payload provider for a streamed dataset (DESIGN.md §15): the
 /// dataset holds metadata_only chunk handles and pulls bytes through its
-/// source on demand. Implementations must be thread-safe — the runtime
-/// fetches and prefetches from pool workers concurrently — and must verify
-/// the fetched bytes against the stored checksum (throwing
-/// util::SerializationError on mismatch), so a materialized chunk is as
-/// trustworthy as a loaded one.
+/// source on demand, a block of up to kChunkBlock chunks per call.
+/// Implementations must be thread-safe — the runtime fetches and
+/// prefetches from pool workers concurrently — and the fetch *is* the
+/// receipt check: it verifies every fetched payload against its stored
+/// checksum (throwing util::SerializationError on mismatch) before
+/// handing it out, so a materialized chunk is as trustworthy as a loaded
+/// one and nobody re-hashes it.
 class ChunkSource {
  public:
   virtual ~ChunkSource() = default;
 
-  /// Returns chunk `index` with its payload resident, at the scale the
-  /// chunk was stored with. Throws on IO errors or corruption.
-  virtual Chunk fetch(std::size_t index) const = 0;
+  /// Fills out[k] with chunk indices[k], payload resident and verified,
+  /// at the scale the chunk was stored with (indices.size() ==
+  /// out.size() <= kChunkBlock). Throws on IO errors or corruption; when
+  /// several chunks of the block fail, the error is the first in block
+  /// order — exactly what fetching them one by one would report.
+  virtual void fetch_block(std::span<const std::size_t> indices,
+                           std::span<Chunk> out) const = 0;
 
   /// Hint that chunk `index` is about to be fetched: readies whatever
   /// backing state makes the fetch cheap (mapped windows, page cache).
@@ -52,6 +59,8 @@ class ChunkedDataset {
   const DatasetMeta& meta() const { return meta_; }
   DatasetMeta& meta() { return meta_; }
 
+  /// Appends a chunk. A streamed dataset takes only metadata_only
+  /// handles (payload-less; see attach_source).
   void add_chunk(Chunk c);
 
   std::size_t chunk_count() const { return chunks_.size(); }
@@ -77,27 +86,37 @@ class ChunkedDataset {
   ChunkedDataset with_uniform_virtual_scale(
       double virtual_scale, obs::Registry* metrics = nullptr) const;
 
-  /// True when every chunk's checksum verifies (streamed chunks are
-  /// materialized to be checked; the fetch itself throws on corruption).
+  /// True when every chunk's checksum verifies. In-memory chunks are
+  /// re-hashed kChunkBlock at a time (one util::fnv1a_x4 pass per block);
+  /// streamed chunks are fetched a block at a time and hashed once, by
+  /// the fetch itself, which throws util::SerializationError on
+  /// corruption instead of returning false.
   bool verify_all() const;
 
   /// Attaches the lazy payload source the metadata_only chunks of a
   /// streamed dataset resolve through. Views made by
   /// with_uniform_virtual_scale share the source (and its window pool).
-  void attach_source(std::shared_ptr<const ChunkSource> source) {
-    source_ = std::move(source);
-  }
+  /// Every chunk must be a metadata_only handle: a streamed dataset's
+  /// payloads all come through the source, whose fetch verifies them, so
+  /// no resident chunk can bypass the receipt check.
+  void attach_source(std::shared_ptr<const ChunkSource> source);
   const std::shared_ptr<const ChunkSource>& source() const { return source_; }
   /// True when chunk payloads live behind a ChunkSource.
   bool streamed() const { return source_ != nullptr; }
 
-  /// Chunk `i` with its payload guaranteed resident: loaded chunks (and
-  /// datasets without a source) come back as plain handle copies; unloaded
-  /// streamed chunks are fetched through the source and rebound to this
-  /// dataset's virtual scale for `i` (so rescaled views materialize at the
-  /// view's scale, not the stored one). The returned handle owns the bytes
-  /// for its lifetime — dropping it releases them, which is what keeps a
-  /// streamed pass's resident set flat (DESIGN.md §15).
+  /// Chunks indices[k] into out[k] (indices.size() == out.size() <=
+  /// kChunkBlock) with their payloads guaranteed resident: an in-memory
+  /// dataset returns plain handle copies; a streamed one fetches the whole
+  /// block through its source in one call (one verifying hash per chunk)
+  /// and rebinds each chunk to this dataset's virtual scale (so rescaled
+  /// views materialize at the view's scale, not the stored one). The
+  /// returned handles own the bytes for their lifetime — dropping them
+  /// releases the bytes, which is what keeps a streamed pass's resident set
+  /// flat (DESIGN.md §15).
+  void materialize_block(std::span<const std::size_t> indices,
+                         std::span<Chunk> out) const;
+
+  /// Chunk `i` with its payload resident: materialize_block of one chunk.
   Chunk materialize(std::size_t i) const;
 
   /// Forwards a prefetch hint for chunk `i` to the source (no-op when the

@@ -1,7 +1,9 @@
 #include "repository/stream.h"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
+#include <exception>
 #include <fstream>
 #include <string>
 
@@ -180,71 +182,96 @@ StoreStreamSource::StoreStreamSource(std::vector<Entry> entries,
                                      StreamConfig cfg, obs::Registry* metrics)
     : entries_(std::move(entries)), metrics_(metrics), pool_(cfg, metrics) {}
 
-Chunk StoreStreamSource::fetch(std::size_t index) const {
+std::shared_ptr<const PayloadBuffer> StoreStreamSource::assemble(
+    std::size_t index, std::uint64_t& hits, std::uint64_t& misses) const {
   const Entry& e = entries_.at(index);
   const std::uint64_t n = e.payload_bytes;
   const std::size_t window_bytes = pool_.config().window_bytes;
+  if (n == 0) return PayloadBuffer::from_bytes({});
 
-  std::shared_ptr<const PayloadBuffer> payload;
+  // Payload bytes live at [32, 32 + n) of the file; window w spans
+  // [w * window_bytes, ...). The payload always starts inside window 0
+  // (the header is far smaller than a page).
+  const std::size_t last_window = static_cast<std::size_t>(
+      (Chunk::kWireHeaderBytes + n - 1) / window_bytes);
+  if (last_window == 0) {
+    // Zero-copy: the view borrows the window's mapping and keeps it
+    // alive past any pool eviction.
+    bool resident = false;
+    const auto w = pool_.acquire(index, e.path, e.file_size, 0, &resident);
+    (resident ? hits : misses) += 1;
+    return PayloadBuffer::from_view(w, w->data() + Chunk::kWireHeaderBytes,
+                                    static_cast<std::size_t>(n));
+  }
+  // The payload straddles window boundaries (window smaller than the
+  // chunk): stitch it window by window into a heap slab. Only one window
+  // needs to be held at a time, so this stays correct under any budget.
+  std::vector<std::uint8_t> stitched(static_cast<std::size_t>(n));
+  for (std::size_t wi = 0; wi <= last_window; ++wi) {
+    bool resident = false;
+    const auto w = pool_.acquire(index, e.path, e.file_size, wi, &resident);
+    (resident ? hits : misses) += 1;
+    const std::uint64_t win_begin =
+        static_cast<std::uint64_t>(wi) * window_bytes;
+    const std::uint64_t copy_begin =
+        std::max<std::uint64_t>(win_begin, Chunk::kWireHeaderBytes);
+    const std::uint64_t copy_end = std::min<std::uint64_t>(
+        win_begin + w->length(), Chunk::kWireHeaderBytes + n);
+    FGP_CHECK_MSG(copy_end > copy_begin,
+                  "window " << wi << " of " << e.path.string()
+                            << " contributes no payload bytes");
+    std::memcpy(stitched.data() + (copy_begin - Chunk::kWireHeaderBytes),
+                w->data() + (copy_begin - win_begin),
+                static_cast<std::size_t>(copy_end - copy_begin));
+  }
+  if (metrics_ != nullptr) metrics_->add("store.stitched_chunks", 1.0);
+  return PayloadBuffer::from_bytes(std::move(stitched));
+}
+
+void StoreStreamSource::fetch_block(std::span<const std::size_t> indices,
+                                    std::span<Chunk> out) const {
+  const std::size_t m = indices.size();
+  FGP_CHECK_MSG(m == out.size() && m <= kChunkBlock,
+                "fetch block of " << m << " chunks into " << out.size()
+                                  << " slots");
+  // Assemble in block order. An IO failure stops assembly, but the chunks
+  // before it are still checked first: a chunk-by-chunk fetch would have
+  // reported an earlier chunk's checksum mismatch before reaching it.
+  std::array<std::shared_ptr<const PayloadBuffer>, kChunkBlock> payloads;
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
-  if (n == 0) {
-    payload = PayloadBuffer::from_bytes({});
-  } else {
-    // Payload bytes live at [32, 32 + n) of the file; window w spans
-    // [w * window_bytes, ...). The payload always starts inside window 0
-    // (the header is far smaller than a page).
-    const std::size_t last_window =
-        static_cast<std::size_t>((Chunk::kWireHeaderBytes + n - 1) /
-                                 window_bytes);
-    if (last_window == 0) {
-      // Zero-copy: the view borrows the window's mapping and keeps it
-      // alive past any pool eviction.
-      bool resident = false;
-      const auto w =
-          pool_.acquire(index, e.path, e.file_size, 0, &resident);
-      (resident ? hits : misses) += 1;
-      payload = PayloadBuffer::from_view(
-          w, w->data() + Chunk::kWireHeaderBytes,
-          static_cast<std::size_t>(n));
-    } else {
-      // The payload straddles window boundaries (window smaller than the
-      // chunk): stitch it window by window into a heap slab. Only one
-      // window needs to be held at a time, so this stays correct under
-      // any budget.
-      std::vector<std::uint8_t> stitched(static_cast<std::size_t>(n));
-      for (std::size_t wi = 0; wi <= last_window; ++wi) {
-        bool resident = false;
-        const auto w =
-            pool_.acquire(index, e.path, e.file_size, wi, &resident);
-        (resident ? hits : misses) += 1;
-        const std::uint64_t win_begin =
-            static_cast<std::uint64_t>(wi) * window_bytes;
-        const std::uint64_t copy_begin =
-            std::max<std::uint64_t>(win_begin, Chunk::kWireHeaderBytes);
-        const std::uint64_t copy_end = std::min<std::uint64_t>(
-            win_begin + w->length(), Chunk::kWireHeaderBytes + n);
-        FGP_CHECK_MSG(copy_end > copy_begin,
-                      "window " << wi << " of " << e.path.string()
-                                << " contributes no payload bytes");
-        std::memcpy(stitched.data() + (copy_begin - Chunk::kWireHeaderBytes),
-                    w->data() + (copy_begin - win_begin),
-                    static_cast<std::size_t>(copy_end - copy_begin));
-      }
-      payload = PayloadBuffer::from_bytes(std::move(stitched));
-      if (metrics_ != nullptr) metrics_->add("store.stitched_chunks", 1.0);
-    }
+  std::size_t assembled = 0;
+  std::exception_ptr io_error;
+  try {
+    for (; assembled < m; ++assembled)
+      payloads[assembled] = assemble(indices[assembled], hits, misses);
+  } catch (...) {
+    io_error = std::current_exception();
   }
 
-  Chunk c(e.id, std::move(payload), e.virtual_scale);
-  if (c.checksum() != e.checksum)
-    throw util::SerializationError("chunk " + std::to_string(e.id) +
-                                   ": checksum mismatch (corrupted payload)");
+  std::array<const std::uint8_t*, kChunkBlock> data{};
+  std::array<std::size_t, kChunkBlock> sizes{};
+  for (std::size_t k = 0; k < assembled; ++k) {
+    data[k] = payloads[k]->data();
+    sizes[k] = payloads[k]->size();
+  }
+  const auto sums = util::fnv1a_x4(data, sizes);
+  std::uint64_t bytes = 0;
+  for (std::size_t k = 0; k < assembled; ++k) {
+    const Entry& e = entries_[indices[k]];
+    if (sums[k] != e.checksum)
+      throw util::SerializationError("chunk " + std::to_string(e.id) +
+                                     ": checksum mismatch (corrupted payload)");
+    bytes += e.payload_bytes;
+    out[k] = Chunk(e.id, std::move(payloads[k]), e.virtual_scale, sums[k]);
+  }
+  if (io_error) std::rethrow_exception(io_error);
+
   if (metrics_ != nullptr) {
     // Integral increments: the totals are fixed by the fetch sequence, so
     // the deterministic export is byte-identical at any pool size; the
     // hit/miss split depends on prefetch timing and stays host-domain.
-    metrics_->add("store.windowed_bytes", static_cast<double>(n));
+    metrics_->add("store.windowed_bytes", static_cast<double>(bytes));
     if (hits > 0)
       metrics_->add("store.prefetch_hits", static_cast<double>(hits),
                     obs::Domain::Host);
@@ -252,7 +279,6 @@ Chunk StoreStreamSource::fetch(std::size_t index) const {
       metrics_->add("store.prefetch_misses", static_cast<double>(misses),
                     obs::Domain::Host);
   }
-  return c;
 }
 
 void StoreStreamSource::prefetch(std::size_t index) const {

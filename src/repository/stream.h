@@ -19,10 +19,10 @@
 //     (window, chunk-size) combination is correct, merely slower.
 //
 // The StoreStreamSource below is the ChunkSource behind
-// DatasetStore::load_streamed: it re-verifies every fetched payload
-// against the stored checksum, so streamed bytes are as trustworthy as
-// loaded ones, and it is thread-safe for concurrent fetch/prefetch from
-// pool workers.
+// DatasetStore::load_streamed: it verifies every fetched payload against
+// the stored checksum — once per fetch, a block of chunks per hash pass —
+// so streamed bytes are as trustworthy as loaded ones, and it is
+// thread-safe for concurrent fetch/prefetch from pool workers.
 #pragma once
 
 #include <cstdint>
@@ -136,7 +136,11 @@ class StoreStreamSource final : public ChunkSource {
   StoreStreamSource(std::vector<Entry> entries, StreamConfig cfg,
                     obs::Registry* metrics);
 
-  Chunk fetch(std::size_t index) const override;
+  /// Assembles each payload (a zero-copy window view, or a slab stitched
+  /// across windows), hashes the block in one util::fnv1a_x4 pass and
+  /// compares every chunk against its stored checksum before building it.
+  void fetch_block(std::span<const std::size_t> indices,
+                   std::span<Chunk> out) const override;
   void prefetch(std::size_t index) const override;
 
   std::size_t chunk_count() const { return entries_.size(); }
@@ -146,6 +150,12 @@ class StoreStreamSource final : public ChunkSource {
   std::size_t resident_window_bytes() const { return pool_.resident_bytes(); }
 
  private:
+  /// Chunk `index`'s payload bytes, unverified. Adds the window
+  /// pool's residency outcomes to `hits`/`misses`.
+  std::shared_ptr<const PayloadBuffer> assemble(std::size_t index,
+                                                std::uint64_t& hits,
+                                                std::uint64_t& misses) const;
+
   std::vector<Entry> entries_;
   obs::Registry* metrics_ = nullptr;
   mutable WindowPool pool_;

@@ -6,6 +6,7 @@
 // (All supported hosts are little-endian; a static_assert guards this.)
 #pragma once
 
+#include <array>
 #include <bit>
 #include <cstdint>
 #include <cstring>
@@ -145,5 +146,15 @@ class ByteReader {
 /// FNV-1a checksum over a byte range; used by the chunk format to detect
 /// corrupted payloads (failure-injection tests rely on this).
 std::uint64_t fnv1a(const std::uint8_t* data, std::size_t n);
+
+/// Four independent FNV-1a chains in one interleaved loop: lane k returns
+/// fnv1a(data[k], n[k]) bit for bit. One byte-serial chain is bound by the
+/// latency of its multiply; four in flight keep the multiplier busy, so a
+/// block of chunks hashes ~3x faster per core than chunk by chunk. Lanes
+/// may differ in length (the common prefix runs interleaved, each tail
+/// finishes serially); an unused lane is {nullptr, 0}.
+std::array<std::uint64_t, 4> fnv1a_x4(
+    const std::array<const std::uint8_t*, 4>& data,
+    const std::array<std::size_t, 4>& n);
 
 }  // namespace fgp::util

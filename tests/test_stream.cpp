@@ -1,21 +1,26 @@
 // Tests for the out-of-core streaming window layer (DESIGN.md §15):
 // windowed mmap round trips, the stitched fallback for payloads larger
 // than a window, budget-bounded recycling, typed failures on truncated or
-// corrupted chunk files, and the lazy materialization contract of
-// streamed datasets.
+// corrupted chunk files, the lazy materialization contract of streamed
+// datasets, and the runtime's receipt checks over corrupted stores.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <string>
 #include <vector>
 
+#include "freeride/runtime.h"
+#include "helpers.h"
 #include "obs/metrics.h"
 #include "repository/chunk.h"
 #include "repository/dataset.h"
+#include "repository/partition.h"
 #include "repository/payload.h"
 #include "repository/store.h"
 #include "repository/stream.h"
@@ -57,6 +62,29 @@ bool same_payload(const Chunk& a, const Chunk& b) {
   const auto pa = a.payload();
   const auto pb = b.payload();
   return pa.size() == pb.size() && std::equal(pa.begin(), pa.end(), pb.begin());
+}
+
+/// Flips one payload byte of a saved chunk file in place (size unchanged,
+/// so only the checksum can catch it).
+void flip_payload_byte(const fs::path& chunk_file, std::size_t offset) {
+  std::fstream f(chunk_file, std::ios::in | std::ios::out | std::ios::binary);
+  const auto at = static_cast<std::streamoff>(Chunk::kWireHeaderBytes + offset);
+  f.seekg(at);
+  const int byte = f.get();
+  f.seekp(at);
+  f.put(static_cast<char>(byte ^ 0x40));
+}
+
+/// The message of the `E` that `fn` throws ("" if it returns normally;
+/// any other exception propagates and fails the test).
+template <typename E, typename Fn>
+std::string thrown_message(Fn&& fn) {
+  try {
+    fn();
+  } catch (const E& e) {
+    return e.what();
+  }
+  return "";
 }
 
 /// One small (page-sized) window per config, so multi-KB chunks straddle.
@@ -199,17 +227,119 @@ TEST_F(StreamTest, CorruptedPayloadFailsChecksum) {
   store.save(make_dataset({5000}));
 
   const auto streamed = store.load_streamed("streamed", tiny_windows());
-  {
-    // Flip one payload byte in place (size unchanged, so only the
-    // checksum can catch it).
-    std::fstream f(root / "streamed" / "chunk_0.bin",
-                   std::ios::in | std::ios::out | std::ios::binary);
-    f.seekg(static_cast<std::streamoff>(Chunk::kWireHeaderBytes + 2500));
-    const int byte = f.get();
-    f.seekp(static_cast<std::streamoff>(Chunk::kWireHeaderBytes + 2500));
-    f.put(static_cast<char>(byte ^ 0x40));
-  }
+  flip_payload_byte(root / "streamed" / "chunk_0.bin", 2500);
   EXPECT_THROW(streamed.materialize(0), util::SerializationError);
+  fs::remove_all(root);
+}
+
+TEST_F(StreamTest, BlockFetchReportsTheFirstFailureInBlockOrder) {
+  const auto root = temp_root("blockorder");
+  const DatasetStore store(root);
+  store.save(make_dataset({5000, 5000, 5000, 5000}));
+  const std::array<std::size_t, 4> all{0, 1, 2, 3};
+  std::array<Chunk, 4> block;
+
+  // A checksum-corrupted chunk before a truncated one: one-by-one fetches
+  // reach the mismatch first, and so must the block fetch, even though
+  // the truncation stops the block's assembly before it hashes anything.
+  auto streamed = store.load_streamed("streamed", tiny_windows());
+  flip_payload_byte(root / "streamed" / "chunk_1.bin", 4000);
+  fs::resize_file(root / "streamed" / "chunk_2.bin",
+                  Chunk::kWireHeaderBytes + 10);
+  EXPECT_NO_THROW(streamed.materialize(0));
+  const std::string one_by_one =
+      thrown_message<util::SerializationError>(
+          [&] { (void)streamed.materialize(1); });
+  EXPECT_NE(one_by_one.find("chunk 1: checksum mismatch"), std::string::npos)
+      << one_by_one;
+  EXPECT_EQ(thrown_message<util::SerializationError>(
+                [&] { streamed.materialize_block(all, block); }),
+            one_by_one);
+
+  // And the other way round: the truncation comes first.
+  store.save(make_dataset({5000, 5000, 5000, 5000}));
+  streamed = store.load_streamed("streamed", tiny_windows());
+  fs::resize_file(root / "streamed" / "chunk_1.bin",
+                  Chunk::kWireHeaderBytes + 10);
+  flip_payload_byte(root / "streamed" / "chunk_2.bin", 4000);
+  const std::string truncated = thrown_message<util::SerializationError>(
+      [&] { (void)streamed.materialize(1); });
+  EXPECT_NE(truncated.find("changed size"), std::string::npos) << truncated;
+  EXPECT_EQ(thrown_message<util::SerializationError>(
+                [&] { streamed.materialize_block(all, block); }),
+            truncated);
+  fs::remove_all(root);
+}
+
+TEST_F(StreamTest, RuntimeRejectsCorruptedStreamedChunksOnEveryPath) {
+  // Two corrupted chunk files on different compute nodes of a streamed
+  // job. The fetch is the receipt check, so the job must fail whether or
+  // not the pass-0 sweep is enabled, and report the same chunk (the one
+  // on the lowest node) at every pool size.
+  const auto root = temp_root("runtime");
+  const DatasetStore store(root);
+  const auto ds = fgp::testing::make_sum_dataset(24, 1024);  // 8 KiB chunks
+  store.save(ds);
+  const auto streamed = store.load_streamed("sum-data", tiny_windows(8));
+  constexpr int kComputeNodes = 4;
+  const auto dest = PartitionMap::round_robin(ds.chunk_count(), kComputeNodes);
+  ASSERT_LT(dest.owner_of(5), dest.owner_of(14));
+  flip_payload_byte(root / "sum-data" / "chunk_14.bin", 100);
+  flip_payload_byte(root / "sum-data" / "chunk_5.bin", 3000);
+
+  for (const bool verify : {true, false}) {
+    for (const std::size_t pool : {0, 2, 8}) {
+      auto setup = fgp::testing::pentium_setup(&streamed, 2, kComputeNodes);
+      setup.config.verify_chunks = verify;
+      fgp::testing::SumKernel kernel;
+      EXPECT_EQ(thrown_message<util::SerializationError>(
+                    [&] { freeride::Runtime(pool).run(setup, kernel); }),
+                "chunk 5: checksum mismatch (corrupted payload)")
+          << "verify " << verify << " pool " << pool;
+    }
+  }
+  fs::remove_all(root);
+}
+
+TEST_F(StreamTest, InMemorySweepNamesTheLowestCorruptedChunk) {
+  // load_mapped verifies every chunk up front, then aliases the files'
+  // page-cache pages, so a file rewritten in place afterwards reaches the
+  // runtime as a corrupted in-memory chunk: only the pass-0 sweep can
+  // catch it. Chunks 6 and 13 sit in different four-chunk sweep groups.
+  const auto root = temp_root("sweep");
+  const DatasetStore store(root);
+  const auto ds = fgp::testing::make_sum_dataset(24, 1024);
+  store.save(ds);
+  const auto mapped = store.load_mapped("sum-data");
+  flip_payload_byte(root / "sum-data" / "chunk_13.bin", 100);
+  flip_payload_byte(root / "sum-data" / "chunk_6.bin", 3000);
+  ASSERT_FALSE(mapped.chunk(6).verify()) << "rewrite not visible via mmap";
+  ASSERT_FALSE(mapped.chunk(13).verify()) << "rewrite not visible via mmap";
+  EXPECT_FALSE(mapped.verify_all());
+
+  for (const std::size_t pool : {0, 2, 8}) {
+    auto setup = fgp::testing::pentium_setup(&mapped, 2, 4);
+    fgp::testing::SumKernel kernel;
+    const std::string message = thrown_message<util::Error>(
+        [&] { freeride::Runtime(pool).run(setup, kernel); });
+    EXPECT_NE(message.find("chunk 6 failed checksum"), std::string::npos)
+        << "pool " << pool << ": " << message;
+  }
+  fs::remove_all(root);
+}
+
+TEST_F(StreamTest, StreamedDatasetsHoldOnlyMetadataHandles) {
+  // A resident chunk in a streamed dataset would skip the fetch, the only
+  // receipt check a streamed chunk gets, so both entry points refuse one.
+  const auto root = temp_root("resident");
+  const DatasetStore store(root);
+  const auto ds = make_dataset({100, 200});
+  store.save(ds);
+  auto streamed = store.load_streamed("streamed", tiny_windows());
+  EXPECT_THROW(streamed.add_chunk(ds.chunk(0)), util::Error);
+  auto in_memory = make_dataset({100});
+  EXPECT_THROW(in_memory.attach_source(streamed.source()), util::Error);
+  EXPECT_FALSE(in_memory.streamed());
   fs::remove_all(root);
 }
 

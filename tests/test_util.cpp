@@ -2,9 +2,11 @@
 // statistics, tables, thread pool, union-find.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cmath>
 #include <sstream>
+#include <vector>
 
 #include "util/check.h"
 #include "util/rng.h"
@@ -135,6 +137,47 @@ TEST(Serial, Fnv1aDetectsSingleBitFlip) {
   const auto h1 = fnv1a(data.data(), data.size());
   data[64] ^= 1;
   EXPECT_NE(h1, fnv1a(data.data(), data.size()));
+}
+
+TEST(Serial, Fnv1aX4MatchesFourSerialChains) {
+  // Seeded random buffers of unequal lengths; every rotation puts each
+  // length (the empty and the longest included) in every lane, so both
+  // the interleaved prefix and each lane's serial tail are exercised.
+  const std::array<std::size_t, 5> lengths{0, 1, 7, 4095, 524320};
+  Rng rng(0x5eed);
+  std::vector<std::vector<std::uint8_t>> bufs;
+  for (const std::size_t n : lengths) {
+    std::vector<std::uint8_t> buf(n);
+    for (auto& b : buf) b = static_cast<std::uint8_t>(rng.next_u64());
+    bufs.push_back(std::move(buf));
+  }
+  for (std::size_t rot = 0; rot < lengths.size(); ++rot) {
+    std::array<const std::uint8_t*, 4> data{};
+    std::array<std::size_t, 4> n{};
+    for (std::size_t k = 0; k < 4; ++k) {
+      const auto& buf = bufs[(rot + k) % bufs.size()];
+      data[k] = buf.data();
+      n[k] = buf.size();
+    }
+    const auto out = fnv1a_x4(data, n);
+    for (std::size_t k = 0; k < 4; ++k)
+      EXPECT_EQ(out[k], fnv1a(data[k], n[k]))
+          << "rotation " << rot << " lane " << k << " length " << n[k];
+  }
+}
+
+TEST(Serial, Fnv1aX4LanesReproduceTheKnownVector) {
+  const std::uint8_t a = 'a';
+  for (const auto h : fnv1a_x4({&a, &a, &a, &a}, {1, 1, 1, 1}))
+    EXPECT_EQ(h, 0xaf63dc4c8601ec8cull);
+  // One live lane among unused {nullptr, 0} lanes, in every position.
+  for (std::size_t k = 0; k < 4; ++k) {
+    std::array<const std::uint8_t*, 4> data{};
+    std::array<std::size_t, 4> n{};
+    data[k] = &a;
+    n[k] = 1;
+    EXPECT_EQ(fnv1a_x4(data, n)[k], 0xaf63dc4c8601ec8cull) << "lane " << k;
+  }
 }
 
 // -------------------------------------------------------------------- rng
