@@ -70,13 +70,12 @@ BenchApp with_virtual_size(const BenchApp& app, double virtual_mb);
 /// An out-of-core copy of `app`: the dataset is saved to a throwaway
 /// store under the system temp directory and reloaded with
 /// DatasetStore::load_streamed, so every exact run pulls payloads through
-/// budget-bounded mmap windows with block prefetch (DESIGN.md §15)
-/// instead of holding them resident. Results are bit-identical to the
-/// in-memory app (pinned by tests/test_dataplane.cpp). `budget_bytes` 0
-/// keeps the default StreamConfig; `metrics` (optional) receives the
-/// streamer's counters (store.windowed_bytes, prefetch hits/misses,
-/// window recycles). The temp store is removed when the last streamed
-/// view of the dataset drops.
+/// budget-bounded mmap windows (DESIGN.md §15) instead of holding them
+/// resident. Results are bit-identical to the in-memory app (pinned by
+/// tests/test_dataplane.cpp). `budget_bytes` 0 keeps the default
+/// StreamConfig; `metrics` (optional) receives the streamer's counters
+/// (store.windowed_bytes, window maps and recycles). The temp store is
+/// removed when the last streamed view of the dataset drops.
 BenchApp streamed_copy(const BenchApp& app, std::size_t budget_bytes = 0,
                        obs::Registry* metrics = nullptr);
 
@@ -101,9 +100,7 @@ struct FigureObs {
 /// process-wide shared pool (hardware concurrency) for its two-level
 /// reduction; pass nullptr for a fully serial reference run — the result is
 /// bit-identical either way (DESIGN.md §11). `trace`/`metrics` (optional)
-/// are handed to the runtime as its observability sinks. `engine` selects
-/// the simulation core; Event and PhaseLoop are byte-identical by contract
-/// (tests/test_engine_swap.cpp).
+/// are handed to the runtime as its observability sinks.
 freeride::RunResult simulate(const BenchApp& app,
                              const sim::ClusterSpec& data_cluster,
                              const sim::ClusterSpec& compute_cluster,
@@ -111,19 +108,15 @@ freeride::RunResult simulate(const BenchApp& app,
                              bool caching = false,
                              util::ThreadPool* pool = &shared_pool(),
                              obs::TraceRecorder* trace = nullptr,
-                             obs::Registry* metrics = nullptr,
-                             freeride::EngineMode engine =
-                                 freeride::EngineMode::Event);
+                             obs::Registry* metrics = nullptr);
 
 /// Collects the prediction-model profile for one configuration (same pool
-/// and engine semantics as simulate()).
+/// semantics as simulate()).
 core::Profile profile_of(const BenchApp& app,
                          const sim::ClusterSpec& data_cluster,
                          const sim::ClusterSpec& compute_cluster,
                          const sim::WanSpec& wan, NodeConfig config,
-                         util::ThreadPool* pool = &shared_pool(),
-                         freeride::EngineMode engine =
-                             freeride::EngineMode::Event);
+                         util::ThreadPool* pool = &shared_pool());
 
 /// Figures 2–6: base profile at 1-1, all three prediction models across
 /// the grid, one table. The grid's exact runs execute concurrently on

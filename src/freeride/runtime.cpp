@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <chrono>
-#include <future>
-#include <mutex>
 #include <optional>
 #include <span>
 #include <string>
@@ -12,7 +9,6 @@
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "sim/event_engine.h"
 #include "util/check.h"
 #include "util/thread_pool.h"
 
@@ -38,107 +34,6 @@ constexpr std::size_t kChunksPerBlock = 4;
 // materializes its chunks in one call (one verifying hash per chunk).
 static_assert(kChunksPerBlock == repository::kChunkBlock,
               "a reduction block must be one materialize_block call");
-
-/// Tracks the prefetch tasks a run has handed to the host pool so the pass
-/// that submitted them can wait them out. A prefetch task keeps the
-/// streaming source (and with it the window pool) alive via its captured
-/// shared_ptr, but the metrics registry that pool records into belongs to
-/// the caller and may die with the dataset handle as soon as run()
-/// returns — so no task submitted by a run may outlive it. drain() uses
-/// wait(), not get(): a failed prefetch stays non-fatal, the synchronous
-/// fetch of the same chunk surfaces any real error with context.
-struct PrefetchDrain {
-  util::ThreadPool* pool = nullptr;  ///< set once run() resolves its pool
-  std::mutex mu;
-  std::vector<std::future<void>> inflight;
-
-  void add(std::future<void> f) {
-    const std::lock_guard<std::mutex> lock(mu);
-    inflight.push_back(std::move(f));
-  }
-  void drain() {
-    std::vector<std::future<void>> local;
-    {
-      const std::lock_guard<std::mutex> lock(mu);
-      local.swap(inflight);
-    }
-    for (auto& f : local) {
-      if (!f.valid()) continue;
-      // Help-first, never park on queued work: this thread may itself be
-      // a pool worker (a sweep runs whole jobs on helpers), and a pool
-      // whose every thread parks on its own queue deadlocks. Only when
-      // the queue is empty is the task guaranteed running elsewhere (or
-      // done), making a plain wait finite.
-      while (f.wait_for(std::chrono::seconds(0)) !=
-             std::future_status::ready) {
-        if (pool == nullptr || !pool->try_run_one()) f.wait();
-      }
-    }
-  }
-  ~PrefetchDrain() { drain(); }
-};
-
-/// Sequences one pass's per-node phase completions through either
-/// simulation core (EngineMode). complete() records a `dur`-second
-/// completion for `node` whose phase accumulator is *acc:
-///
-///   PhaseLoop  folds max(*acc, dur) inline, in call order — the
-///              pre-engine reference behaviour, byte for byte.
-///   Event      schedules the completion on the event engine at
-///              now() + dur and defers the fold to drain(), which
-///              dispatches the queue in the canonical total order
-///              (time, seq, node, kind).
-///
-/// Both modes fold max over the same duration set, and max over doubles
-/// is order-insensitive, so the two cores agree bit-for-bit on every
-/// accumulator — the engine-swap contract (DESIGN.md §18).
-class PhaseDriver {
- public:
-  explicit PhaseDriver(sim::EventEngine* engine) : engine_(engine) {}
-
-  void complete(int node, sim::EventKind kind, double dur, double* acc) {
-    if (engine_ == nullptr) {
-      *acc = std::max(*acc, dur);
-      return;
-    }
-    engine_->schedule_after(dur, node, kind, pending_.size());
-    pending_.push_back({dur, acc});
-  }
-
-  /// Dispatches every pending completion (canonical order) and applies
-  /// its fold. The virtual clock ends at the phase's finish time.
-  void drain() {
-    if (engine_ == nullptr) return;
-    while (!engine_->empty()) {
-      const sim::Event ev = engine_->pop();
-      const Pending& p = pending_[static_cast<std::size_t>(ev.payload)];
-      *p.acc = std::max(*p.acc, p.dur);
-    }
-    pending_.clear();
-  }
-
-  /// Pass boundary: dispatches a Barrier and realigns the virtual clock
-  /// to `time`, the accounting chain's pass cursor (vclock). The chained
-  /// per-phase sums the clock accumulated and the additive
-  /// TimingBreakdown::total() may disagree in the final ulp (FP
-  /// association), so the accounting chain owns the canonical value and
-  /// the engine adopts it here — §18's virtual-clock ownership rule.
-  void barrier(double time) {
-    if (engine_ == nullptr) return;
-    engine_->schedule(std::max(time, engine_->now()), obs::kJobNode,
-                      sim::EventKind::Barrier);
-    (void)engine_->pop();
-    engine_->reset(time);
-  }
-
- private:
-  struct Pending {
-    double dur;
-    double* acc;
-  };
-  sim::EventEngine* engine_;
-  std::vector<Pending> pending_;
-};
 
 std::vector<NodeVolume> volumes(const repository::ChunkedDataset& ds,
                                 const PartitionMap& pm) {
@@ -196,12 +91,6 @@ RunResult Runtime::run(const JobSetup& setup, ReductionKernel& kernel) const {
   obs::Registry* const metrics = setup.metrics;
   const obs::HostSpan run_span(trace, "runtime", "run");
 
-  // Simulation core (EngineMode): the discrete-event engine sequences the
-  // pass loop by default; PhaseLoop keeps the pre-engine reference fold.
-  std::optional<sim::EventEngine> engine;
-  if (setup.engine == EngineMode::Event) engine.emplace();
-  PhaseDriver phases(engine ? &*engine : nullptr);
-
   // WAN counter handles, resolved on first use (one map walk per pipe per
   // run instead of three per node per phase).
   const sim::WanMeter repo_pipe(metrics, "repo-compute");
@@ -213,15 +102,6 @@ RunResult Runtime::run(const JobSetup& setup, ReductionKernel& kernel) const {
   // — which is what the trace visualizes — is unchanged.
   double vclock = 0.0;
 
-  // Streamed datasets pull payloads through this source on demand; the
-  // prefetch stage below (two-level reduction) readies the next block's
-  // windows while the current block reduces. Null for in-memory datasets.
-  const std::shared_ptr<const repository::ChunkSource> streaming_source =
-      ds.source();
-  // Destroyed (and therefore drained) on every exit path, including a
-  // kernel exception unwinding the pass loop.
-  PrefetchDrain prefetch_drain;
-
   // Host thread pool for the local-reduction phase: either borrowed from
   // the caller (shared across concurrent runs) or owned for this run. One
   // pool serves every pass; the work partition never depends on its size,
@@ -232,7 +112,6 @@ RunResult Runtime::run(const JobSetup& setup, ReductionKernel& kernel) const {
     owned_pool.emplace(pool_threads_);
     pool = &*owned_pool;
   }
-  prefetch_drain.pool = pool;
 
   // Decide how later passes of a multi-pass job will be served: local disk
   // when the compute nodes can hold their share, otherwise a non-local
@@ -287,17 +166,17 @@ RunResult Runtime::run(const JobSetup& setup, ReductionKernel& kernel) const {
     rec.from_cache = cached_pass;
 
     // --- Phase 1: data retrieval -------------------------------------
-    // Every branch records one DiskSegmentDone completion per node with
-    // chunks to read; the slowest completion is the phase time.
+    // Every node with chunks to read runs one disk segment; the slowest
+    // segment is the phase time (each fold is acc = max(acc, dur)).
     if (cached_pass && cache_mode == CacheMode::LocalDisk) {
       // Each compute node reads its chunks back from local disk.
       for (int j = 0; j < c; ++j) {
         const auto& cache = caches.node(j);
         if (cache.chunk_count() == 0) continue;
-        phases.complete(j, sim::EventKind::DiskSegmentDone,
-                        compute_machine.disk.access_time(
-                            cache.virtual_bytes(), cache.chunk_count()),
-                        &rec.timing.disk);
+        rec.timing.disk =
+            std::max(rec.timing.disk,
+                     compute_machine.disk.access_time(cache.virtual_bytes(),
+                                                      cache.chunk_count()));
       }
     } else if (cached_pass) {
       // The non-local cache site's nodes read their partitions.
@@ -306,12 +185,11 @@ RunResult Runtime::run(const JobSetup& setup, ReductionKernel& kernel) const {
       for (int d = 0; d < cache_nodes; ++d) {
         const auto& v = cache_vol[static_cast<std::size_t>(d)];
         if (v.chunks == 0) continue;
-        phases.complete(d, sim::EventKind::DiskSegmentDone,
-                        site.cluster.machine.disk.startup_s +
-                            static_cast<double>(v.chunks) *
-                                site.cluster.machine.disk.seek_s +
-                            v.virtual_bytes / bw,
-                        &rec.timing.disk);
+        rec.timing.disk = std::max(
+            rec.timing.disk, site.cluster.machine.disk.startup_s +
+                                 static_cast<double>(v.chunks) *
+                                     site.cluster.machine.disk.seek_s +
+                                 v.virtual_bytes / bw);
       }
     } else {
       // Each data-server node reads its partition; the shared storage
@@ -320,12 +198,11 @@ RunResult Runtime::run(const JobSetup& setup, ReductionKernel& kernel) const {
       for (int d = 0; d < n; ++d) {
         const auto& v = data_vol[static_cast<std::size_t>(d)];
         if (v.chunks == 0) continue;
-        phases.complete(d, sim::EventKind::DiskSegmentDone,
-                        data_machine.disk.startup_s +
-                            static_cast<double>(v.chunks) *
-                                data_machine.disk.seek_s +
-                            v.virtual_bytes / bw,
-                        &rec.timing.disk);
+        rec.timing.disk = std::max(
+            rec.timing.disk,
+            data_machine.disk.startup_s +
+                static_cast<double>(v.chunks) * data_machine.disk.seek_s +
+                v.virtual_bytes / bw);
       }
 
       if (cfg.verify_chunks && result.passes == 0 && !ds.streamed()) {
@@ -354,14 +231,12 @@ RunResult Runtime::run(const JobSetup& setup, ReductionKernel& kernel) const {
         }
       }
     }
-    phases.drain();
 
     // --- Phase 2: data communication ---------------------------------
-    // Per-node transfer segments (NicSegmentDone). Cache population rides
-    // along on the first pass: its forward transfers and cache writes fold
-    // into cache_tx / cache_tw and are added onto the phase totals once
-    // the phase's event set has drained — the same values, in the same
-    // order, as the reference fold.
+    // One transfer segment per sending node; the slowest is the phase
+    // time. Cache population rides along on the first pass: its forward
+    // transfers and cache writes fold into cache_tx / cache_tw of their
+    // own and are added onto the phase totals afterwards.
     double cache_tx = 0.0, cache_tw = 0.0;
     if (cached_pass && cache_mode == CacheMode::NonLocalSite) {
       // Cache site -> compute nodes over the cache pipe.
@@ -369,22 +244,20 @@ RunResult Runtime::run(const JobSetup& setup, ReductionKernel& kernel) const {
       for (int d = 0; d < cache_nodes; ++d) {
         const auto& v = cache_vol[static_cast<std::size_t>(d)];
         if (v.chunks == 0) continue;
-        phases.complete(d, sim::EventKind::NicSegmentDone,
-                        cache_pipe.transfer(
-                            site.wan_to_compute, v.virtual_bytes, v.chunks,
-                            cache_nodes,
-                            site.cluster.machine.nic.bandwidth_Bps),
-                        &rec.timing.network);
+        rec.timing.network = std::max(
+            rec.timing.network,
+            cache_pipe.transfer(site.wan_to_compute, v.virtual_bytes,
+                                v.chunks, cache_nodes,
+                                site.cluster.machine.nic.bandwidth_Bps));
       }
     } else if (!cached_pass) {
       for (int d = 0; d < n; ++d) {
         const auto& v = data_vol[static_cast<std::size_t>(d)];
         if (v.chunks == 0) continue;
-        phases.complete(d, sim::EventKind::NicSegmentDone,
-                        repo_pipe.transfer(setup.wan, v.virtual_bytes,
-                                           v.chunks, n,
-                                           data_machine.nic.bandwidth_Bps),
-                        &rec.timing.network);
+        rec.timing.network = std::max(
+            rec.timing.network,
+            repo_pipe.transfer(setup.wan, v.virtual_bytes, v.chunks, n,
+                               data_machine.nic.bandwidth_Bps));
       }
 
       // Populate the cache during the first pass.
@@ -396,10 +269,8 @@ RunResult Runtime::run(const JobSetup& setup, ReductionKernel& kernel) const {
             caches.insert(j, ds.chunk(ci));
           const auto& v = dest_vol[static_cast<std::size_t>(j)];
           if (cfg.charge_cache_write && v.chunks > 0)
-            phases.complete(j, sim::EventKind::DiskSegmentDone,
-                            compute_machine.disk.access_time(v.virtual_bytes,
-                                                             v.chunks),
-                            &cache_tw);
+            cache_tw = std::max(cache_tw, compute_machine.disk.access_time(
+                                              v.virtual_bytes, v.chunks));
         }
         caches.mark_warm();
       } else if (cache_mode == CacheMode::NonLocalSite && !caches.warm()) {
@@ -410,24 +281,21 @@ RunResult Runtime::run(const JobSetup& setup, ReductionKernel& kernel) const {
         for (int d = 0; d < cache_nodes; ++d) {
           const auto& v = cache_vol[static_cast<std::size_t>(d)];
           if (v.chunks == 0) continue;
-          phases.complete(d, sim::EventKind::NicSegmentDone,
-                          forward_pipe.transfer(
-                              site.wan_to_compute, v.virtual_bytes, v.chunks,
-                              cache_nodes,
-                              compute_machine.nic.bandwidth_Bps),
-                          &cache_tx);
+          cache_tx = std::max(
+              cache_tx,
+              forward_pipe.transfer(site.wan_to_compute, v.virtual_bytes,
+                                    v.chunks, cache_nodes,
+                                    compute_machine.nic.bandwidth_Bps));
           if (cfg.charge_cache_write)
-            phases.complete(d, sim::EventKind::DiskSegmentDone,
-                            site.cluster.machine.disk.startup_s +
-                                static_cast<double>(v.chunks) *
-                                    site.cluster.machine.disk.seek_s +
-                                v.virtual_bytes / write_bw,
-                            &cache_tw);
+            cache_tw = std::max(
+                cache_tw, site.cluster.machine.disk.startup_s +
+                              static_cast<double>(v.chunks) *
+                                  site.cluster.machine.disk.seek_s +
+                              v.virtual_bytes / write_bw);
         }
         caches.mark_warm();
       }
     }
-    phases.drain();
     rec.timing.network += cache_tx;
     rec.timing.disk += cache_tw;
 
@@ -475,37 +343,15 @@ RunResult Runtime::run(const JobSetup& setup, ReductionKernel& kernel) const {
         bs.block_time.assign(nblocks, 0.0);
         bs.block_work.assign(nblocks, sim::Work{});
         const auto reduce_block = [&](std::size_t b) {
-          // Host IO/compute overlap for streamed datasets: before this
-          // block's kernels start, the *next* block's windows are readied
-          // asynchronously on the pool, so its fetches hit resident
-          // mappings. Pure wall-clock optimization: prefetch touches only
-          // the window pool (plus host-domain counters), the fixed block
-          // partition and ascending fold order are untouched, and the
-          // task captures the refcounted source, so results stay
-          // bit-identical to the non-streamed path at any pool size.
-          if (streaming_source != nullptr && pool != nullptr) {
-            const std::size_t next_begin = (b + 1) * kChunksPerBlock;
-            if (next_begin < m) {
-              const std::size_t next_end =
-                  std::min(m, next_begin + kChunksPerBlock);
-              std::vector<std::size_t> targets(
-                  node_chunks.begin() +
-                      static_cast<std::ptrdiff_t>(next_begin),
-                  node_chunks.begin() + static_cast<std::ptrdiff_t>(next_end));
-              prefetch_drain.add(pool->submit(
-                  [src = streaming_source, targets = std::move(targets)] {
-                    for (const std::size_t ci : targets) src->prefetch(ci);
-                  }));
-            }
-          }
           ReductionObject& obj =
               b == 0 ? *objects[j] : *bs.block_objects[b - 1];
           double tb = 0.0;
           sim::Work wb;
           const std::size_t begin = b * kChunksPerBlock;
           const std::size_t count = std::min(m, begin + kChunksPerBlock) - begin;
-          // One call materializes the block (a streamed dataset fetches
-          // and verifies it in one pass). By value: a streamed chunk owns
+          // One call materializes the block, on demand: a streamed dataset
+          // fetches and verifies it in one pass right before the kernel
+          // reads it, nothing ahead of time. By value: a streamed chunk owns
           // its bytes only while its handle lives, so each payload is
           // released as soon as the kernel is done with it (flat
           // resident set).
@@ -587,20 +433,15 @@ RunResult Runtime::run(const JobSetup& setup, ReductionKernel& kernel) const {
     } else {
       for (int j = 0; j < c; ++j) reduce_node(static_cast<std::size_t>(j));
     }
-    // The pass owns its prefetch tasks: wait them out here so none is
-    // still touching the window pool (or its metrics registry) after the
-    // caller regains control — see PrefetchDrain.
-    prefetch_drain.drain();
 
     // Work partials fold in node order (FP-ordered); the phase time is the
-    // slowest node's ComputeBlockDone completion.
+    // slowest node's local reduction.
     for (int j = 0; j < c; ++j) {
       const auto uj = static_cast<std::size_t>(j);
       result.total_work += node_work[uj];
-      phases.complete(j, sim::EventKind::ComputeBlockDone, node_time[uj],
-                      &rec.timing.compute_local);
+      rec.timing.compute_local =
+          std::max(rec.timing.compute_local, node_time[uj]);
     }
-    phases.drain();
     rec.node_compute.assign(node_time.begin(), node_time.end());
 
     // --- Phase 3b: reduction-object gather + merge (serialized) ------
@@ -698,7 +539,6 @@ RunResult Runtime::run(const JobSetup& setup, ReductionKernel& kernel) const {
       metrics->set_max("runtime.max_object_bytes", rec.max_object_bytes);
     }
     vclock += rec.timing.total();
-    phases.barrier(vclock);
 
     result.timing.elapsed += rec.elapsed;
     result.timing.total += rec.timing;
@@ -709,7 +549,6 @@ RunResult Runtime::run(const JobSetup& setup, ReductionKernel& kernel) const {
     result.result = std::move(objects[0]);
   }
 
-  if (engine) engine->flush_counters(metrics);
   return result;
 }
 

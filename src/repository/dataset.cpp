@@ -89,9 +89,4 @@ Chunk ChunkedDataset::materialize(std::size_t i) const {
   return c;
 }
 
-void ChunkedDataset::prefetch(std::size_t i) const {
-  const Chunk& c = chunks_.at(i);
-  if (!c.loaded() && source_ != nullptr) source_->prefetch(i);
-}
-
 }  // namespace fgp::repository

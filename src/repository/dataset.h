@@ -25,12 +25,12 @@ struct DatasetMeta {
 /// Lazy payload provider for a streamed dataset (DESIGN.md §15): the
 /// dataset holds metadata_only chunk handles and pulls bytes through its
 /// source on demand, a block of up to kChunkBlock chunks per call.
-/// Implementations must be thread-safe — the runtime fetches and
-/// prefetches from pool workers concurrently — and the fetch *is* the
-/// receipt check: it verifies every fetched payload against its stored
-/// checksum (throwing util::SerializationError on mismatch) before
-/// handing it out, so a materialized chunk is as trustworthy as a loaded
-/// one and nobody re-hashes it.
+/// Implementations must be thread-safe — the runtime fetches from pool
+/// workers concurrently — and the fetch *is* the receipt check: it
+/// verifies every fetched payload against its stored checksum (throwing
+/// util::SerializationError on mismatch) before handing it out, so a
+/// materialized chunk is as trustworthy as a loaded one and nobody
+/// re-hashes it.
 class ChunkSource {
  public:
   virtual ~ChunkSource() = default;
@@ -42,13 +42,6 @@ class ChunkSource {
   /// order — exactly what fetching them one by one would report.
   virtual void fetch_block(std::span<const std::size_t> indices,
                            std::span<Chunk> out) const = 0;
-
-  /// Hint that chunk `index` is about to be fetched: readies whatever
-  /// backing state makes the fetch cheap (mapped windows, page cache).
-  /// Never throws and never affects results — a prefetch is free to be a
-  /// no-op, and a failed prefetch just makes the later fetch slower (the
-  /// fetch re-raises any real error).
-  virtual void prefetch(std::size_t index) const = 0;
 };
 
 class ChunkedDataset {
@@ -118,10 +111,6 @@ class ChunkedDataset {
 
   /// Chunk `i` with its payload resident: materialize_block of one chunk.
   Chunk materialize(std::size_t i) const;
-
-  /// Forwards a prefetch hint for chunk `i` to the source (no-op when the
-  /// dataset is not streamed or the chunk is already loaded).
-  void prefetch(std::size_t i) const;
 
  private:
   DatasetMeta meta_;

@@ -66,16 +66,13 @@ std::size_t WindowPool::resident_bytes() const {
 
 std::shared_ptr<const WindowPool::Window> WindowPool::acquire(
     std::size_t chunk_index, const std::filesystem::path& path,
-    std::uint64_t expected_file_size, std::size_t window_index,
-    bool* was_resident) {
+    std::uint64_t expected_file_size, std::size_t window_index) {
   const Key key{chunk_index, window_index};
   const std::lock_guard<std::mutex> lock(mu_);
   if (const auto it = index_.find(key); it != index_.end()) {
     lru_.splice(lru_.begin(), lru_, it->second);
-    if (was_resident != nullptr) *was_resident = true;
     return lru_.front().window;
   }
-  if (was_resident != nullptr) *was_resident = false;
 
   const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
   if (fd < 0)
@@ -137,7 +134,7 @@ std::shared_ptr<const WindowPool::Window> WindowPool::acquire(
 
 std::shared_ptr<const WindowPool::Window> WindowPool::acquire(
     std::size_t, const std::filesystem::path& path, std::uint64_t,
-    std::size_t, bool*) {
+    std::size_t) {
   throw util::SerializationError("no mmap support on this platform for " +
                                  path.string());
 }
@@ -183,7 +180,7 @@ StoreStreamSource::StoreStreamSource(std::vector<Entry> entries,
     : entries_(std::move(entries)), metrics_(metrics), pool_(cfg, metrics) {}
 
 std::shared_ptr<const PayloadBuffer> StoreStreamSource::assemble(
-    std::size_t index, std::uint64_t& hits, std::uint64_t& misses) const {
+    std::size_t index) const {
   const Entry& e = entries_.at(index);
   const std::uint64_t n = e.payload_bytes;
   const std::size_t window_bytes = pool_.config().window_bytes;
@@ -197,9 +194,7 @@ std::shared_ptr<const PayloadBuffer> StoreStreamSource::assemble(
   if (last_window == 0) {
     // Zero-copy: the view borrows the window's mapping and keeps it
     // alive past any pool eviction.
-    bool resident = false;
-    const auto w = pool_.acquire(index, e.path, e.file_size, 0, &resident);
-    (resident ? hits : misses) += 1;
+    const auto w = pool_.acquire(index, e.path, e.file_size, 0);
     return PayloadBuffer::from_view(w, w->data() + Chunk::kWireHeaderBytes,
                                     static_cast<std::size_t>(n));
   }
@@ -208,9 +203,7 @@ std::shared_ptr<const PayloadBuffer> StoreStreamSource::assemble(
   // needs to be held at a time, so this stays correct under any budget.
   std::vector<std::uint8_t> stitched(static_cast<std::size_t>(n));
   for (std::size_t wi = 0; wi <= last_window; ++wi) {
-    bool resident = false;
-    const auto w = pool_.acquire(index, e.path, e.file_size, wi, &resident);
-    (resident ? hits : misses) += 1;
+    const auto w = pool_.acquire(index, e.path, e.file_size, wi);
     const std::uint64_t win_begin =
         static_cast<std::uint64_t>(wi) * window_bytes;
     const std::uint64_t copy_begin =
@@ -238,13 +231,11 @@ void StoreStreamSource::fetch_block(std::span<const std::size_t> indices,
   // before it are still checked first: a chunk-by-chunk fetch would have
   // reported an earlier chunk's checksum mismatch before reaching it.
   std::array<std::shared_ptr<const PayloadBuffer>, kChunkBlock> payloads;
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
   std::size_t assembled = 0;
   std::exception_ptr io_error;
   try {
     for (; assembled < m; ++assembled)
-      payloads[assembled] = assemble(indices[assembled], hits, misses);
+      payloads[assembled] = assemble(indices[assembled]);
   } catch (...) {
     io_error = std::current_exception();
   }
@@ -267,37 +258,10 @@ void StoreStreamSource::fetch_block(std::span<const std::size_t> indices,
   }
   if (io_error) std::rethrow_exception(io_error);
 
-  if (metrics_ != nullptr) {
-    // Integral increments: the totals are fixed by the fetch sequence, so
-    // the deterministic export is byte-identical at any pool size; the
-    // hit/miss split depends on prefetch timing and stays host-domain.
+  // An integral increment: the total is fixed by the fetch sequence, so
+  // the deterministic export is byte-identical at any pool size.
+  if (metrics_ != nullptr)
     metrics_->add("store.windowed_bytes", static_cast<double>(bytes));
-    if (hits > 0)
-      metrics_->add("store.prefetch_hits", static_cast<double>(hits),
-                    obs::Domain::Host);
-    if (misses > 0)
-      metrics_->add("store.prefetch_misses", static_cast<double>(misses),
-                    obs::Domain::Host);
-  }
-}
-
-void StoreStreamSource::prefetch(std::size_t index) const {
-  // A hint, never an error: ready the chunk's windows (map + WILLNEED)
-  // so the fetch overlapping the current block's compute finds them
-  // resident. Any IO problem is swallowed here and re-raised with full
-  // context by the eventual fetch.
-  try {
-    const Entry& e = entries_.at(index);
-    if (e.payload_bytes == 0) return;
-    const std::size_t window_bytes = pool_.config().window_bytes;
-    const std::size_t last_window = static_cast<std::size_t>(
-        (Chunk::kWireHeaderBytes + e.payload_bytes - 1) / window_bytes);
-    for (std::size_t wi = 0; wi <= last_window; ++wi)
-      pool_.acquire(index, e.path, e.file_size, wi);
-    if (metrics_ != nullptr)
-      metrics_->add("store.prefetch_issued", 1.0, obs::Domain::Host);
-  } catch (...) {  // NOLINT(bugprone-empty-catch)
-  }
 }
 
 }  // namespace fgp::repository

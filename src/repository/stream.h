@@ -22,7 +22,7 @@
 // DatasetStore::load_streamed: it verifies every fetched payload against
 // the stored checksum — once per fetch, a block of chunks per hash pass —
 // so streamed bytes are as trustworthy as loaded ones, and it is
-// thread-safe for concurrent fetch/prefetch from pool workers.
+// thread-safe for concurrent fetches from pool workers.
 #pragma once
 
 #include <cstdint>
@@ -79,15 +79,13 @@ class WindowPool {
   /// Maps (or returns the resident) window `window_index` of `path`, whose
   /// current size must still be `expected_file_size` (a typed
   /// SerializationError reports a file truncated or grown since the
-  /// metadata scan). `was_resident` (optional) reports whether the window
-  /// was already pooled — the prefetch hit signal. Eviction keeps the pool
-  /// at or under budget_bytes afterwards (the returned window itself
-  /// always survives its own acquisition).
+  /// metadata scan). Eviction keeps the pool at or under budget_bytes
+  /// afterwards (the returned window itself always survives its own
+  /// acquisition).
   std::shared_ptr<const Window> acquire(std::size_t chunk_index,
                                         const std::filesystem::path& path,
                                         std::uint64_t expected_file_size,
-                                        std::size_t window_index,
-                                        bool* was_resident = nullptr);
+                                        std::size_t window_index);
 
   /// Normalized configuration (window_bytes page-rounded).
   const StreamConfig& config() const { return cfg_; }
@@ -114,8 +112,8 @@ class WindowPool {
 /// ChunkSource streaming a saved dataset's chunk files through a
 /// WindowPool (the engine behind DatasetStore::load_streamed). Counters:
 /// store.windowed_bytes and store.stitched_chunks are Deterministic
-/// (integral, fixed by the fetch sequence); prefetch hits/misses and
-/// window maps/recycles are Host (they depend on pool timing).
+/// (integral, fixed by the fetch sequence); window maps/recycles are
+/// Host (they depend on pool timing).
 class StoreStreamSource final : public ChunkSource {
  public:
   /// Per-chunk metadata gathered by the load_streamed header scan.
@@ -141,7 +139,6 @@ class StoreStreamSource final : public ChunkSource {
   /// compares every chunk against its stored checksum before building it.
   void fetch_block(std::span<const std::size_t> indices,
                    std::span<Chunk> out) const override;
-  void prefetch(std::size_t index) const override;
 
   std::size_t chunk_count() const { return entries_.size(); }
   const Entry& entry(std::size_t i) const { return entries_.at(i); }
@@ -150,11 +147,8 @@ class StoreStreamSource final : public ChunkSource {
   std::size_t resident_window_bytes() const { return pool_.resident_bytes(); }
 
  private:
-  /// Chunk `index`'s payload bytes, unverified. Adds the window
-  /// pool's residency outcomes to `hits`/`misses`.
-  std::shared_ptr<const PayloadBuffer> assemble(std::size_t index,
-                                                std::uint64_t& hits,
-                                                std::uint64_t& misses) const;
+  /// Chunk `index`'s payload bytes, unverified.
+  std::shared_ptr<const PayloadBuffer> assemble(std::size_t index) const;
 
   std::vector<Entry> entries_;
   obs::Registry* metrics_ = nullptr;

@@ -377,25 +377,6 @@ TEST_F(StreamTest, RescaledViewMaterializesAtViewScale) {
   fs::remove_all(root);
 }
 
-TEST_F(StreamTest, PrefetchWarmsTheWindowPool) {
-  const auto root = temp_root("prefetch");
-  const DatasetStore store(root);
-  store.save(make_dataset({3000, 3000, 3000, 3000}));
-
-  obs::Registry metrics;
-  const DatasetStore reader(root, nullptr, &metrics);
-  const auto streamed = reader.load_streamed("streamed", tiny_windows(8));
-  for (std::size_t i = 0; i < streamed.chunk_count(); ++i)
-    streamed.prefetch(i);
-  EXPECT_EQ(metrics.host_value("store.prefetch_issued"), 4.0);
-  for (std::size_t i = 0; i < streamed.chunk_count(); ++i)
-    (void)streamed.materialize(i);
-  // Every fetch found its window resident from the prefetch pass.
-  EXPECT_GT(metrics.host_value("store.prefetch_hits"), 0.0);
-  EXPECT_EQ(metrics.host_value("store.prefetch_misses"), 0.0);
-  fs::remove_all(root);
-}
-
 TEST_F(StreamTest, VerifyAllLeavesChunksUnloaded) {
   const auto root = temp_root("verify");
   const DatasetStore store(root);
