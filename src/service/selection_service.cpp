@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <map>
 #include <utility>
 
 #include "obs/hdr.h"
@@ -32,10 +31,10 @@ struct ScoredCandidate {
 /// Everything one query needs for its (pure) evaluate phase.
 struct PreparedQuery {
   const SelectionQuery* query = nullptr;
-  std::shared_ptr<const CompiledApp> compiled;  ///< null: unknown app
+  /// Null for an invalid query or an unknown app; set: needs its shard.
+  std::shared_ptr<const CompiledApp> compiled;
   std::shared_ptr<const ReplicaShard> shard;
-  std::size_t shard_index = 0;  ///< valid when needs_shard
-  bool needs_shard = false;
+  std::size_t shard_index = 0;  ///< valid when compiled is set
   std::string error;  ///< non-empty: fail without evaluating
 };
 
@@ -58,16 +57,32 @@ SelectionResult evaluate(const PreparedQuery& p) {
 
   const auto& sites = topo.compute_sites;
   const auto& predictors = p.compiled->site_predictors;
-  // Reserve one replica's worth: every predictable site's power-of-two
-  // node sweep. Scaling that by the replica count would overshoot by
-  // orders of magnitude on a sparse link mesh; growth covers the rest.
+  // core::ranked_before's total order, read through the pointers. Site
+  // ids are unique within a topology, so equal indices mean equal ids.
+  const auto scored_before = [&sites](const ScoredCandidate& a,
+                                      const ScoredCandidate& b) {
+    if (a.total != b.total) return a.total < b.total;
+    const auto& ra = a.replica->repository;
+    const auto& rb = b.replica->repository;
+    if (ra != rb) return ra < rb;
+    if (a.site != b.site) return sites[a.site].id < sites[b.site].id;
+    if (a.replica->storage_nodes != b.replica->storage_nodes)
+      return a.replica->storage_nodes < b.replica->storage_nodes;
+    return a.nodes < b.nodes;
+  };
+  // The top-k so far, as a max-heap under scored_before (front = worst).
+  // scored_before is a strict total order, so the k it keeps are exactly
+  // the first k of a full sort. The reserve is capped by one replica's
+  // worth — every predictable site's power-of-two node sweep — since
+  // top_k may be as large as max_top_k.
+  const auto top_k = static_cast<std::size_t>(q.top_k);
   std::size_t per_replica = 0;
   for (std::size_t s = 0; s < sites.size(); ++s)
     if (predictors[s].predictable())
       per_replica += static_cast<std::size_t>(
           std::bit_width(static_cast<unsigned>(sites[s].available_nodes)));
-  std::vector<ScoredCandidate> scored;
-  scored.reserve(per_replica);
+  std::vector<ScoredCandidate> heap;
+  heap.reserve(std::min(top_k, per_replica));
 
   // One target per query; the loop rewrites only what changes with the
   // replica, the site and the node count.
@@ -110,35 +125,25 @@ SelectionResult evaluate(const PreparedQuery& p) {
         sc.replica = &replica;
         sc.site = s;
         sc.wan = wan;
-        scored.push_back(sc);
+        if (heap.size() < top_k) {
+          heap.push_back(sc);
+          std::push_heap(heap.begin(), heap.end(), scored_before);
+        } else if (scored_before(sc, heap.front())) {
+          std::pop_heap(heap.begin(), heap.end(), scored_before);
+          heap.back() = sc;
+          std::push_heap(heap.begin(), heap.end(), scored_before);
+        }
       }
     }
   }
-  if (scored.empty()) {
+  if (heap.empty()) {
     out.error = "no predictable candidate for dataset '" + q.dataset + "'";
     return out;
   }
 
-  // core::ranked_before's total order, read through the pointers. Site
-  // ids are unique within a topology, so equal indices mean equal ids.
-  const auto scored_before = [&sites](const ScoredCandidate& a,
-                                      const ScoredCandidate& b) {
-    if (a.total != b.total) return a.total < b.total;
-    const auto& ra = a.replica->repository;
-    const auto& rb = b.replica->repository;
-    if (ra != rb) return ra < rb;
-    if (a.site != b.site) return sites[a.site].id < sites[b.site].id;
-    if (a.replica->storage_nodes != b.replica->storage_nodes)
-      return a.replica->storage_nodes < b.replica->storage_nodes;
-    return a.nodes < b.nodes;
-  };
-  const std::size_t k =
-      std::min<std::size_t>(static_cast<std::size_t>(q.top_k), scored.size());
-  std::partial_sort(scored.begin(), scored.begin() + k, scored.end(),
-                    scored_before);
-  out.ranked.reserve(k);
-  for (std::size_t i = 0; i < k; ++i) {
-    const ScoredCandidate& sc = scored[i];
+  std::sort_heap(heap.begin(), heap.end(), scored_before);
+  out.ranked.reserve(heap.size());
+  for (const ScoredCandidate& sc : heap) {
     out.ranked.push_back({{*sc.replica, sites[sc.site].id, sc.nodes, *sc.wan},
                           sc.predicted,
                           predictors[sc.site].uses_hetero_scaling()});
@@ -189,10 +194,18 @@ std::vector<SelectionResult> SelectionService::query_batch(
   const auto topo = catalog_->topology();
   unsigned long long hits = 0;
   unsigned long long misses = 0;
+  // Each distinct app resolves once per batch; a repeat counts the cache
+  // hit its own resolve would have (the first resolve left the app
+  // compiled against `topo`), and an unknown app still counts nothing.
+  // Batches name a handful of apps, so the memo is a linear scan.
+  std::vector<std::pair<const std::string*, std::shared_ptr<const CompiledApp>>>
+      resolved;
   // Each touched shard is loaded exactly once per batch, so every query on
   // the same dataset ranks against the same snapshot even while writers
-  // publish. The map size is the batch's shard fan-out.
-  std::map<std::size_t, std::shared_ptr<const ReplicaShard>> shards_touched;
+  // publish. The number of touched shards is the batch's shard fan-out.
+  std::vector<std::shared_ptr<const ReplicaShard>> shards(
+      catalog_->shard_count());
+  std::vector<unsigned char> touched(shards.size(), 0);
   std::vector<PreparedQuery> prepared(queries.size());
   for (std::size_t i = 0; i < queries.size(); ++i) {
     const SelectionQuery& q = queries[i];
@@ -210,30 +223,41 @@ std::vector<SelectionResult> SelectionService::query_batch(
       p.error = "query needs top_k >= 1";
       continue;
     }
-    p.compiled = cache_.resolve(q.app, topo, &hits, &misses);
+    const auto memo = std::find_if(
+        resolved.begin(), resolved.end(),
+        [&q](const auto& entry) { return *entry.first == q.app; });
+    if (memo == resolved.end()) {
+      p.compiled = cache_.resolve(q.app, topo, &hits, &misses);
+      resolved.emplace_back(&q.app, p.compiled);
+    } else {
+      p.compiled = memo->second;
+      if (p.compiled != nullptr) ++hits;
+    }
     if (p.compiled == nullptr) {
       p.error = "no profile registered for app '" + q.app + "'";
       continue;
     }
-    p.shard_index = shard_of(q.dataset, catalog_->shard_count());
-    p.needs_shard = true;
-    shards_touched.try_emplace(p.shard_index);
+    p.shard_index = shard_of(q.dataset, shards.size());
+    touched[p.shard_index] = 1;
   }
   const double prepare_end = want_latency ? batch_clock.seconds() : 0.0;
 
-  // --- shard-load phase: one snapshot per touched shard ------------------
-  for (auto& [index, snapshot] : shards_touched)
-    snapshot = catalog_->shard(index);
+  // --- shard-load phase: one snapshot per touched shard, in index order --
+  std::size_t fanout = 0;
+  for (std::size_t s = 0; s < shards.size(); ++s) {
+    if (touched[s] == 0) continue;
+    shards[s] = catalog_->shard(s);
+    ++fanout;
+  }
   for (PreparedQuery& p : prepared)
-    if (p.needs_shard) p.shard = shards_touched.find(p.shard_index)->second;
+    if (p.compiled != nullptr) p.shard = shards[p.shard_index];
   const double shard_load_end = want_latency ? batch_clock.seconds() : 0.0;
 
   if (metrics_ != nullptr) {
     metrics_->add("service.queries", static_cast<double>(queries.size()));
     metrics_->add("service.cache_hits", static_cast<double>(hits));
     metrics_->add("service.cache_misses", static_cast<double>(misses));
-    metrics_->add("service.shard_fanout",
-                  static_cast<double>(shards_touched.size()));
+    metrics_->add("service.shard_fanout", static_cast<double>(fanout));
   }
 
   // --- parallel evaluate phase (indexed result slots) --------------------

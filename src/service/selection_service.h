@@ -11,12 +11,15 @@
 // Batch discipline (DESIGN.md §16):
 //
 //   1. A *serial* prepare phase, on the calling thread, captures one
-//      topology snapshot for the whole batch, resolves each query's
-//      CompiledApp through the cache, and loads each query's replica
-//      shard. All deterministic counters (service.queries, cache
-//      hits/misses, shard fan-out) are recorded here, in query order.
+//      topology snapshot for the whole batch, resolves each distinct
+//      app's CompiledApp once through the cache (a repeat of an app
+//      counts one cache hit, as its own resolve would), and loads each
+//      touched replica shard once. All deterministic counters
+//      (service.queries, cache hits/misses, shard fan-out) are recorded
+//      here, in query order.
 //   2. A *parallel* evaluate phase ranks each query's candidates into an
-//      indexed result slot via pool->parallel_for. Every input is an
+//      indexed result slot via pool->parallel_for, keeping the best
+//      top_k in a bounded heap. Every input is an
 //      immutable snapshot captured in phase 1, and ties in predicted
 //      total time break on the candidate's identity, so the results —
 //      like a SweepRunner grid — are bit-identical serial vs any pool

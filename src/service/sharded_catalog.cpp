@@ -1,7 +1,7 @@
 #include "service/sharded_catalog.h"
 
 #include <algorithm>
-#include <iterator>
+#include <cstddef>
 #include <utility>
 
 #include "util/check.h"
@@ -19,6 +19,49 @@ std::uint64_t fnv1a(std::string_view s) {
     h *= 1099511628211ull;
   }
   return h;
+}
+
+// --- the per-shard dataset index (ReplicaShard::index) ---------------------
+
+constexpr std::uint64_t kStartBits = 0xffffffffull;
+
+/// A publish shifts the copied index with one pass over the table per new
+/// entry. A pass costs about 1 ns a slot and a rebuild about 20 ns a run
+/// (hash + probe), at 2-3 slots a run; past this many entries in one
+/// shard the rebuild is cheaper.
+constexpr std::size_t kShiftPassesMax = 8;
+
+/// The slot tag and home position both come from the hash's high half:
+/// its low bits are shared by every dataset of a shard whenever the shard
+/// count is a power of two.
+std::uint64_t index_tag(std::uint64_t hash) { return hash >> 32; }
+
+/// Smallest power-of-two table that holds `runs` at load <= 0.75.
+std::size_t index_capacity(std::size_t runs) {
+  std::size_t capacity = 8;
+  while (capacity / 4 * 3 < runs) capacity *= 2;
+  return capacity;
+}
+
+void index_insert(std::vector<std::uint64_t>& index, std::uint64_t hash,
+                  std::size_t start) {
+  const std::size_t mask = index.size() - 1;
+  std::size_t pos = static_cast<std::size_t>(index_tag(hash)) & mask;
+  while (index[pos] != 0) pos = (pos + 1) & mask;
+  index[pos] = (index_tag(hash) << 32) | (start + 1);
+}
+
+/// Indexes every dataset run of `shard.replicas` into a fresh table.
+void rebuild_index(ReplicaShard& shard) {
+  const auto& r = shard.replicas;
+  const auto starts_run = [&r](std::size_t i) {
+    return i == 0 || r[i].dataset != r[i - 1].dataset;
+  };
+  shard.runs = 0;
+  for (std::size_t i = 0; i < r.size(); ++i) shard.runs += starts_run(i);
+  shard.index.assign(index_capacity(shard.runs), 0);
+  for (std::size_t i = 0; i < r.size(); ++i)
+    if (starts_run(i)) index_insert(shard.index, fnv1a(r[i].dataset), i);
 }
 
 bool link_less(const Topology::Link& a, const Topology::Link& b) {
@@ -68,17 +111,22 @@ const sim::WanSpec* Topology::find_link(std::string_view repository,
 
 std::span<const grid::Replica> ReplicaShard::replicas_of(
     std::string_view dataset) const {
-  const auto lo = std::lower_bound(
-      replicas.begin(), replicas.end(), dataset,
-      [](const grid::Replica& r, std::string_view d) {
-        return std::string_view(r.dataset) < d;
-      });
-  const auto hi = std::upper_bound(
-      lo, replicas.end(), dataset,
-      [](std::string_view d, const grid::Replica& r) {
-        return d < std::string_view(r.dataset);
-      });
-  return {lo, hi};
+  if (index.empty()) return {};
+  const std::uint64_t hash = fnv1a(dataset);
+  const std::uint64_t tag = index_tag(hash);
+  const std::size_t mask = index.size() - 1;
+  // Load <= 0.75 guarantees an empty slot ends every probe.
+  for (std::size_t pos = static_cast<std::size_t>(tag) & mask;
+       index[pos] != 0; pos = (pos + 1) & mask) {
+    const std::uint64_t slot = index[pos];
+    if ((slot >> 32) != tag) continue;
+    const std::size_t start = static_cast<std::size_t>(slot & kStartBits) - 1;
+    if (replicas[start].dataset != dataset) continue;
+    std::size_t end = start + 1;
+    while (end < replicas.size() && replicas[end].dataset == dataset) ++end;
+    return {replicas.data() + start, end - start};
+  }
+  return {};
 }
 
 std::size_t shard_of(std::string_view dataset, std::size_t shard_count) {
@@ -163,6 +211,13 @@ void ShardedCatalog::register_replicas(std::vector<grid::Replica> replicas) {
   std::vector<std::vector<grid::Replica>> per_shard(shards_.size());
   for (auto& r : replicas)
     per_shard[shard_of(r.dataset, shards_.size())].push_back(std::move(r));
+  // The index packs run starts into 32 bits.
+  for (std::size_t s = 0; s < shards_.size(); ++s)
+    FGP_CHECK_MSG(per_shard[s].empty() ||
+                      shards_[s].load()->replicas.size() +
+                              per_shard[s].size() <
+                          (std::size_t{1} << 32),
+                  "shard " << s << " would reach 2^32 replica entries");
   const auto by_dataset = [](const grid::Replica& a, const grid::Replica& b) {
     return a.dataset < b.dataset;
   };
@@ -170,20 +225,54 @@ void ShardedCatalog::register_replicas(std::vector<grid::Replica> replicas) {
     auto& batch = per_shard[s];
     if (batch.empty()) continue;
     // Registration order within a dataset must survive (GridCatalog
-    // enumeration parity): stable_sort keeps it inside the batch, and
-    // std::merge takes equal keys from its first range — the published
-    // entries — first.
+    // enumeration parity): stable_sort keeps it inside the batch, and the
+    // merge below takes equal keys from the published entries first.
     std::stable_sort(batch.begin(), batch.end(), by_dataset);
     const auto current = shards_[s].load();
     const auto& old = current->replicas;
     auto next = std::make_shared<ReplicaShard>();
     if (old.empty()) {
       next->replicas = std::move(batch);
+      rebuild_index(*next);
     } else {
-      next->replicas.reserve(old.size() + batch.size());
-      std::merge(old.begin(), old.end(), std::make_move_iterator(batch.begin()),
-                 std::make_move_iterator(batch.end()),
-                 std::back_inserter(next->replicas), by_dataset);
+      // ins_pos[j]: published entries emitted before batch entry j.
+      // new_runs: positions in `next` of datasets the shard lacked.
+      auto& out = next->replicas;
+      out.reserve(old.size() + batch.size());
+      std::vector<std::size_t> ins_pos;
+      std::vector<std::size_t> new_runs;
+      ins_pos.reserve(batch.size());
+      std::size_t o = 0;
+      for (auto& b : batch) {
+        while (o < old.size() && !(b.dataset < old[o].dataset))
+          out.push_back(old[o++]);
+        ins_pos.push_back(o);
+        if (out.empty() || out.back().dataset != b.dataset)
+          new_runs.push_back(out.size());
+        out.push_back(std::move(b));
+      }
+      out.insert(out.end(), old.begin() + static_cast<std::ptrdiff_t>(o),
+                 old.end());
+
+      next->runs = current->runs + new_runs.size();
+      if (index_capacity(next->runs) > current->index.size() ||
+          batch.size() > kShiftPassesMax) {
+        rebuild_index(*next);
+      } else {
+        // A published run start moves right by one for every batch entry
+        // merged in before it (entries appended to a run leave its start
+        // alone): one branch-free pass over the table per entry. Passes
+        // run from the last entry back, so a start a pass moved still
+        // compares right against the earlier entries' old positions.
+        next->index = current->index;
+        for (auto pos = ins_pos.rbegin(); pos != ins_pos.rend(); ++pos)
+          for (auto& slot : next->index)
+            slot += static_cast<std::uint64_t>(slot != 0) &
+                    static_cast<std::uint64_t>((slot & kStartBits) - 1 >=
+                                               *pos);
+        for (const std::size_t start : new_runs)
+          index_insert(next->index, fnv1a(out[start].dataset), start);
+      }
     }
     shards_[s].store(std::shared_ptr<const ReplicaShard>(std::move(next)));
   }

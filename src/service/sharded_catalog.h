@@ -9,13 +9,18 @@
 // there with two ingredients:
 //
 //   * Replica entries are hash-partitioned over N shards by dataset name,
-//     each shard an *immutable* snapshot (replicas sorted by dataset, so a
-//     lookup is one binary search) published through
-//     std::atomic<std::shared_ptr>. Readers load the pointer and never
-//     lock; writers copy the affected shard, apply the change, and swap
-//     the pointer (copy-on-publish). A reader holding a snapshot keeps it
-//     alive for as long as it needs — a concurrent publish can never pull
-//     data out from under an in-flight query.
+//     each shard an *immutable* snapshot published through
+//     std::atomic<std::shared_ptr>. A shard keeps its replicas sorted by
+//     dataset (so each dataset is one contiguous run) plus an
+//     open-addressed hash index from dataset name to run start, so a
+//     lookup is one probe and one name compare rather than a binary
+//     search that misses cache at every step. Readers load the pointer
+//     and never lock; writers copy the affected shard, apply the change,
+//     and swap the pointer (copy-on-publish). A publish shifts the copied
+//     index and inserts only the new runs; it rebuilds the index only when
+//     the table grows. A reader holding a snapshot keeps it alive for as
+//     long as it needs — a concurrent publish can never pull data out from
+//     under an in-flight query.
 //
 //   * The small side of the catalog — compute sites, repository sites,
 //     WAN links — lives in one Topology snapshot under the same
@@ -69,9 +74,17 @@ struct Topology {
 
 /// One shard's replica entries, sorted by dataset name; entries of the
 /// same dataset keep their registration order (stable sort of each new
-/// batch, then std::merge after the published entries).
+/// batch, then a merge after the published entries).
 struct ReplicaShard {
   std::vector<grid::Replica> replicas;
+  /// Open-addressed (linear probing) index over the dataset runs of
+  /// `replicas`, maintained by ShardedCatalog: a power-of-two table at
+  /// load <= 0.75 whose slots are 0 (empty) or
+  /// (32-bit FNV-1a tag << 32) | (run start + 1).
+  std::vector<std::uint64_t> index;
+  /// Distinct datasets, i.e. occupied index slots.
+  std::size_t runs = 0;
+
   /// The contiguous run of replicas for `dataset` (empty span when none).
   std::span<const grid::Replica> replicas_of(std::string_view dataset) const;
 };
@@ -98,8 +111,10 @@ class ShardedCatalog {
                      const grid::SiteId& compute, sim::WanSpec wan);
   void register_replica(grid::Replica replica);
   /// Bulk load: per touched shard, one stable sort of the new entries,
-  /// one merge into a copy of the shard and one publish — instead of a
-  /// copy-on-publish per entry or a re-sort of the whole shard.
+  /// one merge into a copy of the shard, one index update and one publish
+  /// — instead of a copy-on-publish per entry or a re-sort of the whole
+  /// shard. A shard must stay below 2^32 entries (the index packs run
+  /// starts into 32 bits).
   void register_replicas(std::vector<grid::Replica> replicas);
 
   // --- readers (lock-free snapshot loads) ---------------------------------

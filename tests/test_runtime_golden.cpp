@@ -9,11 +9,10 @@
 // keeps its name from then, EngineSwap: each test pins the scenario the
 // two engines were compared on to the digest both of them produced.
 //
-// The digests hold for the default codegen. A build that may fuse
-// multiply-adds (FMA available to the compiler, as under FGP_NATIVE's
-// -march=native on an FMA host) rounds differently: there each scenario
-// is checked against its own serial digest instead, and the residual pin
-// is skipped.
+// The digests hold for every build: the root CMakeLists.txt compiles with
+// -ffp-contract=off, so a host-tuned build (FGP_NATIVE's -march=native on
+// an FMA host) fuses no multiply-add and rounds like the default codegen
+// (DESIGN.md §10).
 #include <gtest/gtest.h>
 
 #include <cinttypes>
@@ -45,12 +44,6 @@ namespace {
 // Pool sizes every pin must hold under: 0 = the serial Runtime(), then an
 // owned pool of 2 and of 8 host threads.
 constexpr std::size_t kPools[] = {0, 2, 8};
-
-#if defined(__FMA__) || defined(__ARM_FEATURE_FMA)
-constexpr bool kPinsApply = false;
-#else
-constexpr bool kPinsApply = true;
-#endif
 
 struct Scenario {
   std::string name;
@@ -109,11 +102,10 @@ std::uint64_t run_digest(const Scenario& s, std::size_t pool) {
 }
 
 void expect_golden(const Scenario& s, std::uint64_t pinned) {
-  const std::uint64_t want = kPinsApply ? pinned : run_digest(s, 0);
   for (const std::size_t pool : kPools) {
     const std::uint64_t got = run_digest(s, pool);
-    EXPECT_EQ(got, want) << s.name << " @pool=" << pool << ": digest "
-                         << hex(got) << ", expected " << hex(want);
+    EXPECT_EQ(got, pinned) << s.name << " @pool=" << pool << ": digest "
+                           << hex(got) << ", expected " << hex(pinned);
   }
 }
 
@@ -308,7 +300,6 @@ TEST(EngineSwap, ResidualReportsMatch) {
   // The residual export (prediction-vs-exact decomposition) is the last
   // deterministic artifact a figure emits: a 1-1 base profile predicts
   // three grid points, and the report is pinned as a digest.
-  if (!kPinsApply) GTEST_SKIP() << "pins describe codegen without FMA";
   const auto data = kmeans_points(31);
   const apps::KMeansParams params = kmeans_params(data, 3);
   const auto base_setup = testing::pentium_setup(&data.dataset, 1, 1);

@@ -6,8 +6,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <iterator>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -511,6 +514,187 @@ TEST(SelectionService, BatchLatencyHistogramLandsInHostDomain) {
   EXPECT_EQ(without.find("service.batch_seconds"), std::string::npos);
 }
 
+TEST(SelectionService, DeterministicCountersArePinnedOverAMixedStream) {
+  // Repeated apps, an unknown app and invalid queries in one batch, run
+  // three times with a topology bump before the second run. A repeat of
+  // an app counts one cache hit, an unknown app or an invalid query
+  // counts nothing, and the bump costs each app one miss.
+  BigFixture fx;
+  std::vector<SelectionQuery> batch(fx.queries.begin(),
+                                    fx.queries.begin() + 32);
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    if (i % 8 == 3) batch[i].app = "ghost";
+    if (i % 8 == 5) batch[i].dataset_bytes = 0.0;
+    if (i % 8 == 6) batch[i].top_k = 0;
+    if (i % 16 == 7) batch[i].dataset.clear();
+  }
+  struct Counters {
+    double hits;
+    double misses;
+    double fanout;
+  };
+  // Cumulative after each batch: 18 valid queries on known apps per
+  // batch, over 11 shards.
+  const Counters pinned[] = {{16.0, 2.0, 11.0},
+                             {32.0, 4.0, 22.0},
+                             {50.0, 4.0, 33.0}};
+  for (const std::size_t threads : {0u, 8u}) {
+    BigFixture run;
+    std::unique_ptr<util::ThreadPool> pool;
+    if (threads > 0) pool = std::make_unique<util::ThreadPool>(threads);
+    obs::Registry metrics;
+    SelectionService svc(&run.catalog, pool.get(), &metrics);
+    run.register_apps(svc);
+    for (std::size_t b = 0; b < 3; ++b) {
+      if (b == 1)
+        run.catalog.register_compute_site(
+            {"bump", sim::cluster_pentium_myrinet(), 4});
+      svc.query_batch(batch);
+      const std::string where =
+          "pool " + std::to_string(threads) + " batch " + std::to_string(b);
+      EXPECT_EQ(metrics.value("service.queries"),
+                static_cast<double>((b + 1) * batch.size()))
+          << where;
+      EXPECT_EQ(metrics.value("service.cache_hits"), pinned[b].hits) << where;
+      EXPECT_EQ(metrics.value("service.cache_misses"), pinned[b].misses)
+          << where;
+      EXPECT_EQ(metrics.value("service.shard_fanout"), pinned[b].fanout)
+          << where;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The per-shard dataset index against a linear scan of the shard.
+
+/// `name`'s lookup in `shard` must return exactly the entries a linear scan
+/// of the shard finds — the same objects, in the same order.
+void expect_lookup_matches_scan(const ReplicaShard& shard,
+                                const std::string& name,
+                                const std::string& where) {
+  std::vector<const grid::Replica*> want;
+  for (const auto& r : shard.replicas)
+    if (r.dataset == name) want.push_back(&r);
+  const auto got = shard.replicas_of(name);
+  ASSERT_EQ(got.size(), want.size()) << "'" << name << "' " << where;
+  for (std::size_t i = 0; i < got.size(); ++i)
+    EXPECT_EQ(&got[i], want[i]) << "'" << name << "' #" << i << " " << where;
+}
+
+/// `names`, absent names, and per name every probe that differs from it
+/// only in the last character or by one appended character.
+std::vector<std::string> with_near_misses(
+    const std::vector<std::string>& names) {
+  std::vector<std::string> out = {"", "absent", "ds-", "ds-99999"};
+  for (const auto& name : names) {
+    out.push_back(name);
+    out.push_back(name + "0");
+    for (const char c : {'0', '9', 'a', 'z', '~'}) {
+      std::string probe = name;
+      probe.back() = c;
+      out.push_back(std::move(probe));
+    }
+  }
+  return out;
+}
+
+/// The index sizing contract: a power-of-two table at load <= 0.75
+/// holding one slot per distinct dataset (no table before the first
+/// publish).
+void expect_index_shape(const ReplicaShard& shard, const std::string& where) {
+  if (shard.replicas.empty()) {
+    EXPECT_TRUE(shard.index.empty()) << where;
+    return;
+  }
+  std::size_t runs = 0;
+  for (std::size_t i = 0; i < shard.replicas.size(); ++i)
+    if (i == 0 || shard.replicas[i].dataset != shard.replicas[i - 1].dataset)
+      ++runs;
+  EXPECT_EQ(shard.runs, runs) << where;
+  const std::size_t occupied = static_cast<std::size_t>(std::count_if(
+      shard.index.begin(), shard.index.end(),
+      [](std::uint64_t slot) { return slot != 0; }));
+  EXPECT_EQ(occupied, runs) << where;
+  EXPECT_TRUE(std::has_single_bit(shard.index.size())) << where;
+  EXPECT_LE(4 * runs, 3 * shard.index.size()) << where;
+}
+
+TEST(ShardedCatalog, ReplicaLookupMatchesALinearScan) {
+  const BigFixture fx;
+  std::vector<std::string> names;
+  for (int d = 0; d < 400; ++d) names.push_back("ds-" + std::to_string(d));
+  const auto probes = with_near_misses(names);
+  for (std::size_t s = 0; s < fx.catalog.shard_count(); ++s) {
+    const auto shard = fx.catalog.shard(s);
+    const std::string where = "shard " + std::to_string(s);
+    expect_index_shape(*shard, where);
+    for (const auto& name : probes)
+      expect_lookup_matches_scan(*shard, name, where);
+  }
+}
+
+TEST(ShardedCatalog, ReplicaLookupStaysExactAcrossInterleavedPublishes) {
+  // Mostly single-entry publishes, with a larger batch every 25th, that
+  // interleave new datasets (named to sort anywhere in their shard) with
+  // appends to existing runs, and add enough datasets to outgrow each
+  // shard's first index table several times.
+  constexpr std::size_t kShards = 2;
+  ShardedCatalog cat(kShards);
+  populate(cat);
+  // Registration order of each dataset's repositories.
+  std::map<std::string, std::vector<std::string>> model = {
+      {"em-data", {"repo-east", "repo-west"}}, {"points", {"repo-west"}}};
+  std::size_t first_tables = 0;
+  for (std::size_t s = 0; s < kShards; ++s)
+    first_tables += cat.shard(s)->index.size();
+
+  util::Rng rng(404);
+  std::size_t fresh = 0;
+  for (int publish = 0; publish < 300; ++publish) {
+    const std::uint64_t entries =
+        publish % 25 == 24 ? 2 + rng.next_below(30) : 1;
+    std::vector<grid::Replica> batch;
+    std::vector<std::string> names;
+    for (std::uint64_t e = 0; e < entries; ++e) {
+      std::string name;
+      if (rng.next_below(3) == 0) {
+        auto it = model.begin();
+        std::advance(it, static_cast<std::ptrdiff_t>(
+                             rng.next_below(model.size())));
+        name = it->first;
+      } else {
+        name = std::string(1, static_cast<char>('a' + rng.next_below(26))) +
+               "-" + std::to_string(fresh++);
+      }
+      const std::string repo =
+          rng.next_below(2) == 0 ? "repo-east" : "repo-west";
+      batch.push_back({name, repo, 1});
+      model[name].push_back(repo);
+      names.push_back(std::move(name));
+    }
+    cat.register_replicas(std::move(batch));
+
+    const std::string where = "after publish " + std::to_string(publish);
+    for (std::size_t s = 0; s < kShards; ++s)
+      expect_index_shape(*cat.shard(s), where);
+    for (const auto& [dataset, repos] : model) {
+      const auto shard = cat.shard_for(dataset);
+      expect_lookup_matches_scan(*shard, dataset, where);
+      const auto replicas = shard->replicas_of(dataset);
+      ASSERT_EQ(replicas.size(), repos.size()) << dataset << " " << where;
+      for (std::size_t i = 0; i < repos.size(); ++i)
+        EXPECT_EQ(replicas[i].repository, repos[i])
+            << dataset << " #" << i << " " << where;
+    }
+    for (const auto& probe : with_near_misses(names))
+      expect_lookup_matches_scan(*cat.shard_for(probe), probe, where);
+  }
+  std::size_t last_tables = 0;
+  for (std::size_t s = 0; s < kShards; ++s)
+    last_tables += cat.shard(s)->index.size();
+  EXPECT_GE(last_tables, 8 * first_tables);
+}
+
 // ---------------------------------------------------------------------------
 // Ranking oracle: the service's POD-scored top-k against a brute-force
 // ranking of every enumerated candidate.
@@ -657,7 +841,8 @@ TEST(SelectionService, TopKMatchesBruteForceRankingWithPlantedTies) {
     const auto topo = fx.catalog.topology();
 
     // Every dataset under both apps, top_k from 1 to two past the
-    // candidate count.
+    // candidate count, then far past it: evaluate must size nothing by
+    // top_k (a reserve of INT_MAX scored candidates asks for ~190 GB).
     util::Rng rng(seed * 7);
     std::vector<SelectionQuery> queries;
     std::vector<ReferenceRanking> refs;
@@ -671,8 +856,11 @@ TEST(SelectionService, TopKMatchesBruteForceRankingWithPlantedTies) {
           if (ref.ranked[i].predicted.total() ==
               ref.ranked[i - 1].predicted.total())
             ++tied_pairs;
-        for (std::size_t k = 1; k <= ref.ranked.size() + 2; ++k) {
-          q.top_k = static_cast<int>(k);
+        std::vector<int> top_ks = {1 << 20, std::numeric_limits<int>::max()};
+        for (std::size_t k = 1; k <= ref.ranked.size() + 2; ++k)
+          top_ks.push_back(static_cast<int>(k));
+        for (const int k : top_ks) {
+          q.top_k = k;
           queries.push_back(q);
           refs.push_back(ref);
         }
@@ -764,6 +952,56 @@ TEST(ResourceSelector, EqualTotalsBreakTiesOnCandidateIdentity) {
 
 // ---------------------------------------------------------------------------
 // Concurrent readers vs snapshot swaps (TSan stress targets)
+
+TEST(ShardedCatalog, ConcurrentPublishesKeepReplicaLookupsExact) {
+  // TSan stress target: readers check lookups on the snapshots they hold
+  // against a linear scan while a writer publishes new datasets and
+  // appends to existing ones (index shifts, inserts and growth).
+  ShardedCatalog cat(4);
+  populate(cat);
+  std::vector<std::string> names = {"em-data", "points", "absent"};
+  for (int d = 0; d < 96; ++d) names.push_back("d-" + std::to_string(d));
+  const auto held = cat.shard_for("em-data");
+  const std::vector<grid::Replica> held_copy = held->replicas;
+
+  std::atomic<bool> done{false};
+  std::atomic<int> mismatches{0};
+  std::thread writer([&] {
+    for (int i = 0; i < 300; ++i)
+      cat.register_replica({"d-" + std::to_string((i * 37) % 96),
+                            i % 2 == 0 ? "repo-east" : "repo-west", 1});
+    done.store(true);
+  });
+  const auto reader = [&](std::size_t first_shard) {
+    for (std::size_t round = 0; round < 40 || !done.load(); ++round) {
+      const auto shard = cat.shard((first_shard + round) % cat.shard_count());
+      for (const auto& name : names) {
+        std::vector<const grid::Replica*> want;
+        for (const auto& r : shard->replicas)
+          if (r.dataset == name) want.push_back(&r);
+        const auto got = shard->replicas_of(name);
+        bool same = got.size() == want.size();
+        for (std::size_t i = 0; same && i < got.size(); ++i)
+          same = &got[i] == want[i];
+        if (!same) mismatches.fetch_add(1);
+      }
+    }
+  };
+  std::thread reader_a(reader, 0);
+  std::thread reader_b(reader, 1);
+  writer.join();
+  reader_a.join();
+  reader_b.join();
+  EXPECT_EQ(mismatches.load(), 0);
+
+  // The snapshot held from before the writer started is untouched.
+  ASSERT_EQ(held->replicas.size(), held_copy.size());
+  for (std::size_t i = 0; i < held_copy.size(); ++i)
+    EXPECT_EQ(held->replicas[i].dataset, held_copy[i].dataset) << i;
+  expect_lookup_matches_scan(*held, "em-data", "held snapshot");
+  for (const auto& name : names)
+    expect_lookup_matches_scan(*cat.shard_for(name), name, "final");
+}
 
 TEST(SelectionService, ConcurrentQueriesRaceSnapshotSwaps) {
   BigFixture fx;
